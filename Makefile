@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race invariant fuzz-short mc-short litmus-short pressure-short kv-short trace-smoke ir-equiv campaign-short regress check bench-json bench-profile
+.PHONY: all build test vet race invariant fuzz-short mc-short litmus-short pressure-short kv-short trace-smoke ir-equiv campaign-short perf-smoke regress check bench-json bench-profile
 
 all: check
 
@@ -143,5 +143,22 @@ litmus-short:
 ir-equiv:
 	$(GO) test -count=1 -run 'TestIR' . ./internal/workload
 
+# Benchmark smoke: perfbench's self-tests, then a one-second untraced run
+# of each workload, which must report correct results and no failed
+# operation. Every run checks each simulated result against
+# perfbench/digests.json, so a change that alters any simulated Result
+# fails here.
+perf-smoke:
+	cd perfbench && $(GO) test ./...
+	@for w in fig7 kv crash; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seconds 1 --trace 0) || exit 1; \
+		line=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "perf-smoke $$w: $$line"; \
+		case $$line in \
+		*'"correct":true,'*'"failed":0,'*) ;; \
+		*) echo "perf-smoke: FAIL: $$w reported incorrect results or failed operations"; exit 1;; \
+		esac; \
+	done; echo "perf-smoke: ok"
+
 # Tier-1.5: everything above.
-check: build test vet race invariant mc-short litmus-short pressure-short kv-short trace-smoke campaign-short ir-equiv regress
+check: build test vet race invariant mc-short litmus-short pressure-short kv-short trace-smoke campaign-short ir-equiv perf-smoke regress

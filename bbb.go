@@ -207,7 +207,7 @@ func MustRun(workloadName string, s Scheme, o Options) Result {
 
 // RunCompiled is Run on the compiled-IR path: the workload's per-thread
 // programs execute as micro-op streams interpreted inline from the event
-// kernel — no goroutine or channel handoff per access — and produce results
+// kernel — no coroutine switch per access — and produce results
 // byte-identical to Run's (the `make ir-equiv` gate). Errors if the
 // workload has no compiled form (every Table IV row, the linked list and
 // the WAL have one).

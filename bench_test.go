@@ -223,7 +223,8 @@ func BenchmarkSchemesPerWorkload(b *testing.B) {
 // BenchmarkSimulatorThroughput measures raw simulator speed (simulated
 // stores per wall second) and allocation pressure per run — engineering
 // metrics, not paper figures. bench-json tracks both across commits. This
-// is the goroutine path; BenchmarkIRThroughput is the same run compiled.
+// is the cpu.Env (coroutine) path; BenchmarkIRThroughput is the same run
+// compiled.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -239,7 +240,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // BenchmarkIRThroughput is BenchmarkSimulatorThroughput over the compiled-
 // IR path — the same workload, scheme and scale, with the per-access
-// goroutine handoff replaced by the inline interpreter. The ISSUE 8
+// coroutine handoff replaced by the inline interpreter. The ISSUE 8
 // acceptance bar is >= 3x the BENCH_0.json sim_stores/s baseline (~300k);
 // `make ir-equiv` separately guarantees the two paths' Results are
 // byte-identical, so this speedup is free of modeling drift.

@@ -63,7 +63,7 @@ func main() {
 		traceN     = flag.Int("trace", 0, "dump the last N microarchitectural events after the run")
 		traceOut   = flag.String("trace-out", "", "stream the full event trace as JSON lines to this file (see cmd/bbbtrace)")
 		check      = flag.Bool("check", false, "audit coherence and bbPB invariants every 1000 cycles (see internal/invariant)")
-		compiled   = flag.Bool("compiled", false, "run workloads through the compiled IR interpreter instead of goroutine drivers (identical results; see internal/ir)")
+		compiled   = flag.Bool("compiled", false, "run workloads through the compiled IR interpreter instead of the cpu.Env drivers (identical results; see internal/ir)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the simulations to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile taken after the simulations to this file")
 
@@ -145,7 +145,7 @@ func main() {
 
 	if *check || *traceN > 0 || *traceOut != "" {
 		if *compiled {
-			log.Fatal("-compiled cannot combine with -check, -trace or -trace-out (those harnesses drive the goroutine path)")
+			log.Fatal("-compiled cannot combine with -check, -trace or -trace-out (those harnesses drive the cpu.Env path)")
 		}
 		if len(combos) > 1 {
 			log.Fatal("-check, -trace and -trace-out need a single workload/scheme combination")

@@ -1,6 +1,12 @@
 // Package cpu models the cores driving the memory hierarchy: a 2 GHz core
 // with a FIFO store buffer in front of the L1D, and the program interface
-// that couples a workload goroutine to the discrete-event simulation.
+// that couples a workload to the discrete-event simulation.
+//
+// A workload runs as a coroutine of its core (iter.Pull): every Env call
+// yields one request to the event loop and suspends the program until the
+// core's completion event resumes it. Only one of the engine and the
+// programs runs at any moment, with no channel or scheduler hop between
+// them, so a simulated access costs two coroutine switches.
 //
 // The store buffer drains to the L1D strictly in order, one store at a
 // time. That is what gives BBB program-order entry into the persistence
@@ -13,6 +19,8 @@ package cpu
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 
 	"bbb/internal/coherence"
 	"bbb/internal/engine"
@@ -91,9 +99,12 @@ type Core struct {
 	eng *engine.Engine
 	h   *coherence.Hierarchy
 
-	prog   chan request
-	resume chan uint64
-	quit   chan struct{}
+	// next and stop drive the program coroutine (Start); resumeVal carries
+	// the completed request's result back into it. nil for compiled
+	// programs and before Start.
+	next      func() (request, bool)
+	stop      func()
+	resumeVal uint64
 
 	sb          []sbEntry
 	sbDraining  bool
@@ -131,7 +142,7 @@ type Core struct {
 	clwbDone          func()
 
 	// interp drives a compiled program (StartCompiled) inline from the
-	// event kernel; nil for the goroutine path.
+	// event kernel; nil for the coroutine path.
 	interp    *ir.Interp
 	interpAct ir.Action
 
@@ -151,14 +162,11 @@ func New(id int, cfg Config, eng *engine.Engine, h *coherence.Hierarchy) *Core {
 		panic("cpu: SBEntries must be positive")
 	}
 	c := &Core{
-		id:     id,
-		cfg:    cfg,
-		eng:    eng,
-		h:      h,
-		prog:   make(chan request),
-		resume: make(chan uint64),
-		quit:   make(chan struct{}),
-		Stats:  stats.NewCounters(),
+		id:    id,
+		cfg:   cfg,
+		eng:   eng,
+		h:     h,
+		Stats: stats.NewCounters(),
 	}
 	c.replyVal = c.reply
 	c.reply0 = func() { c.reply(0) }
@@ -209,41 +217,47 @@ func (c *Core) Done() bool { return c.done }
 // FinishedAt returns the cycle the program finished (valid once Done).
 func (c *Core) FinishedAt() engine.Cycle { return c.finished }
 
-// Start launches the workload goroutine and schedules the core's first
-// instruction fetch. run is executed on its own goroutine against the
-// core's Env and must use only that Env to touch simulated memory.
+// Start wraps the workload in a coroutine and schedules the core's first
+// instruction fetch. run executes against the core's Env and must use only
+// that Env to touch simulated memory.
 //
-// The goroutine does not run immediately: it blocks until the core's
-// cycle-0 fetch event sends the initial resume, entering the same
-// resume→request rendezvous every later instruction follows. Releasing it
-// eagerly would let the program race the event loop (and read a torn
-// Env.Now) in the window before its first request reaches the engine.
+// The coroutine does not run until the core's cycle-0 fetch event pulls
+// its first request, so the program never runs ahead of the event loop:
+// its first instruction sees Env.Now equal to the cycle of that fetch.
+//
+// A workload panic unwinds out of the engine's Run into its caller as a
+// *ProgramPanic, which carries the program's own stack.
 func (c *Core) Start(run func(Env)) {
 	e := &env{core: c}
-	go func() {
+	c.next, c.stop = iter.Pull(func(yield func(request) bool) {
 		defer func() {
-			if r := recover(); r != nil {
-				if r == errAbandoned {
-					return // simulation torn down mid-run (crash injection)
-				}
-				panic(r)
+			if r := recover(); r != nil && r != errAbandoned {
+				panic(&ProgramPanic{Core: c.id, Value: r, Stack: debug.Stack()})
 			}
 		}()
-		select {
-		case <-c.resume:
-		case <-c.quit:
-			return // torn down before the engine ever ran this core
-		}
+		e.yield = yield
 		run(e)
-		e.do(request{kind: reqDone})
-	}()
-	c.eng.Schedule(0, c.reply0)
+	})
+	c.eng.Schedule(0, c.fetchFn)
+}
+
+// ProgramPanic is what a panicking workload raises out of the engine's Run:
+// the coroutine re-panics on the engine's stack, so the program's stack is
+// captured where the panic started.
+type ProgramPanic struct {
+	Core  int
+	Value any
+	Stack []byte
+}
+
+func (p *ProgramPanic) Error() string {
+	return fmt.Sprintf("cpu: core %d program panicked: %v\n\n%s", p.Core, p.Value, p.Stack)
 }
 
 // StartCompiled schedules a compiled program on the core. The interpreter
-// runs inline from the event kernel — no goroutine, no channel rendezvous —
-// feeding the same handle() dispatch the goroutine path uses, so both paths
-// schedule identical events and produce byte-identical results.
+// runs inline from the event kernel — no coroutine switch — feeding the
+// same handle() dispatch the coroutine path uses, so both paths schedule
+// identical events and produce byte-identical results.
 func (c *Core) StartCompiled(p *ir.Prog) {
 	c.interp = new(ir.Interp)
 	c.interp.Reset(p, ir.Config{
@@ -254,8 +268,8 @@ func (c *Core) StartCompiled(p *ir.Prog) {
 }
 
 // stepCompiled advances the interpreter to its next machine action and
-// dispatches it; val resumes a pending load/CAS result, mirroring the
-// resume channel of the goroutine path.
+// dispatches it; val resumes a pending load/CAS result, mirroring
+// resumeVal on the coroutine path.
 func (c *Core) stepCompiled(val uint64) {
 	a := &c.interpAct
 	c.interp.Next(val, a)
@@ -281,19 +295,19 @@ func (c *Core) stepCompiled(val uint64) {
 	}
 }
 
-// Stop abandons the workload goroutine; used at crash points and teardown.
+// Stop abandons the workload; used at crash points and teardown. A
+// program suspended in an Env call unwinds (its deferred calls run) and
+// its coroutine exits. Safe before Start, before the first fetch, after
+// the program finished and more than once.
 func (c *Core) Stop() {
-	select {
-	case <-c.quit:
-	default:
-		close(c.quit)
+	if c.stop != nil {
+		c.stop()
 	}
 }
 
 // fetch obtains the program's next request: compiled programs step the
-// inline interpreter; goroutine programs block the event loop until the
-// request arrives on the channel. The program goroutine is always either
-// about to send a request or finished, so this cannot deadlock.
+// inline interpreter; coroutine programs run until their next Env call
+// yields a request, or until they return, which is the Done request.
 func (c *Core) fetch() {
 	if c.interp != nil {
 		// Only the initial scheduled fetch lands here; the interpreter has
@@ -301,7 +315,10 @@ func (c *Core) fetch() {
 		c.stepCompiled(0)
 		return
 	}
-	req := <-c.prog
+	req, ok := c.next()
+	if !ok {
+		req = request{kind: reqDone}
+	}
 	c.handle(req)
 }
 
@@ -310,7 +327,7 @@ func (c *Core) handle(req request) {
 	case reqDone:
 		c.done = true
 		c.finished = c.eng.Now()
-		// No resume: the program goroutine has exited.
+		// No resume: the program has returned.
 
 	case reqCompute:
 		c.Stats.Add("core.compute_cycles", uint64(req.cycles))
@@ -353,14 +370,14 @@ func (c *Core) handle(req request) {
 }
 
 // reply resumes the program with val and advances to its next request:
-// inline interpreter step for compiled programs, channel round trip plus
-// fetch for goroutine programs.
+// inline interpreter step for compiled programs, a coroutine switch for
+// the others.
 func (c *Core) reply(val uint64) {
 	if c.interp != nil {
 		c.stepCompiled(val)
 		return
 	}
-	c.resume <- val
+	c.resumeVal = val
 	c.fetch()
 }
 

@@ -132,9 +132,9 @@ func TestStoresToSameLineCoalesceInSB(t *testing.T) {
 }
 
 func TestDoubleStartPanics(t *testing.T) {
-	// Starting a core twice would corrupt the channel protocol; the
-	// program panics through the goroutine. We assert Done stays sane with
-	// a single Start and a second core unstarted.
+	// Starting a core twice is unsupported (the second Start would replace
+	// the first program's coroutine). We assert Done stays sane with a
+	// single Start and a second core unstarted.
 	r := newRig(t, 2, DefaultConfig())
 	r.cores[0].Start(func(e Env) { Store64(e, r.nv(27), 1) })
 	r.eng.Run()

@@ -7,13 +7,14 @@ import (
 	"bbb/internal/memory"
 )
 
-// errAbandoned aborts a workload goroutine when the simulation is torn down
-// (crash injection or end of run); it never escapes the package.
+// errAbandoned aborts a workload when the simulation is torn down (crash
+// injection or end of run); the coroutine recovers it, so it never escapes
+// the package.
 var errAbandoned = errors.New("cpu: simulation abandoned")
 
 // Env is the interface a workload uses to execute against the simulated
-// machine. All methods advance simulated time; the goroutine blocks until
-// the machine completes the operation.
+// machine. All methods advance simulated time; the program is suspended
+// until the machine completes the operation.
 //
 // PersistBarrier is the only persistency-aware call: under the PMEM
 // baseline it costs a clwb per named line plus an sfence, while under BBB
@@ -55,26 +56,19 @@ type Env interface {
 }
 
 type env struct {
-	core *Core
+	core  *Core
+	yield func(request) bool // the program coroutine's yield (Core.Start)
 }
 
 var _ Env = (*env)(nil)
 
+// do hands r to the core and suspends the program until the core replies.
+// yield returns false once Core.Stop abandons the program.
 func (e *env) do(r request) uint64 {
-	select {
-	case e.core.prog <- r:
-	case <-e.core.quit:
+	if !e.yield(r) {
 		panic(errAbandoned)
 	}
-	if r.kind == reqDone {
-		return 0 // the core never resumes after Done
-	}
-	select {
-	case v := <-e.core.resume:
-		return v
-	case <-e.core.quit:
-		panic(errAbandoned)
-	}
+	return e.core.resumeVal
 }
 
 func (e *env) CoreID() int { return e.core.id }
@@ -138,12 +132,11 @@ func (e *env) CompareAndSwap(addr memory.Addr, size int, old, new uint64) (uint6
 }
 
 // Now reads the engine clock without a machine round-trip. This is safe and
-// deterministic under the rendezvous discipline: a program goroutine only
-// runs between its resume and its next request (Core.Start holds it at the
-// initial resume too, so this covers the first instruction), and during
-// that window the engine is blocked in this core's same-timestamp fetch
-// event, so the clock cannot advance (and the resume/request channel pair
-// orders the accesses).
+// deterministic under the coroutine handoff: a program only runs inside
+// its core's fetch event, between the coroutine switch that resumes it and
+// the yield of its next request (the first instruction too, as the
+// coroutine starts at the core's first fetch), and the engine is suspended
+// in that event meanwhile, so the clock cannot advance.
 func (e *env) Now() engine.Cycle { return e.core.eng.Now() }
 
 // Load64 is a convenience for pointer-sized loads.

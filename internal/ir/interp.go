@@ -10,7 +10,7 @@ import (
 
 // Config carries the two core-configuration bits that decide how persist
 // instructions expand — the same bits cpu.env consults, so the interpreter
-// and the goroutine path make identical scheme-dependent decisions.
+// and the cpu.Env path make identical scheme-dependent decisions.
 type Config struct {
 	// ExplicitPersist: the PMEM programming model (clwb + sfence barriers).
 	ExplicitPersist bool
@@ -44,7 +44,7 @@ const (
 )
 
 // Action is one machine-facing operation; the core converts it to the same
-// internal request the goroutine path sends over its channel.
+// internal request the cpu.Env path yields from its coroutine.
 type Action struct {
 	Kind   ActionKind
 	Addr   memory.Addr
@@ -57,7 +57,7 @@ type Action struct {
 // Interp executes one compiled program, yielding machine actions one at a
 // time. It is driven inline from the event kernel: the core calls Next with
 // the previous action's result, the interpreter runs inline ops until the
-// next machine op, fills act, and returns — no goroutine, no channels, no
+// next machine op, fills act, and returns — no coroutine switch, no
 // allocation.
 type Interp struct {
 	ops  []Op

@@ -2,14 +2,13 @@
 // programs, plus the builder that emits it and the interpreter that executes
 // it. It exists for one reason: raw simulator speed.
 //
-// The original program interface (cpu.Env) runs each workload thread on its
-// own goroutine and couples it to the event kernel with a two-channel
-// rendezvous per simulated memory access — a goroutine park/unpark pair per
-// Load/Store/Flush/Fence/CAS. That handoff dominates the simulator's hot
-// path. A compiled program expresses the same thread body as a flat stream
-// of register-machine micro-ops; the core then drives the interpreter
-// *inline from the event kernel*: one callback per machine action, zero
-// goroutines, zero channel operations.
+// The original program interface (cpu.Env) runs each workload thread as a
+// coroutine of its core and switches to it and back once per simulated
+// memory access (Load/Store/Flush/Fence/CAS). That handoff is the largest
+// remaining cost of the Env path. A compiled program expresses the same
+// thread body as a flat stream of register-machine micro-ops; the core then
+// drives the interpreter *inline from the event kernel*: one callback per
+// machine action, no coroutine switch.
 //
 // The op set has two layers:
 //
@@ -19,11 +18,11 @@
 //   - Inline ops (constants, register ALU, branches, PRNG draws, barrier
 //     address accumulation) execute host-side between yields and cost zero
 //     simulated cycles — mirroring the host-side Go control flow of the
-//     goroutine twins.
+//     cpu.Env twins.
 //
 // Equivalence with the Env twins is the package's contract: for the same
 // seed, a compiled program must perform the identical sequence of machine
-// actions its goroutine twin performs, so both paths produce byte-identical
+// actions its cpu.Env twin performs, so both paths produce byte-identical
 // system.Results. The scheme-dependent expansion of persist barriers
 // (epoch mark / clwb-per-line + sfence / nothing) is done by the
 // interpreter at run time from the same core configuration bits cpu.env

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -20,16 +21,22 @@ import (
 // [2^(i-1), 2^i - 1]. It keeps exact count/sum/min/max and answers
 // quantile queries by linear interpolation inside the owning bucket —
 // the same shape gem5 and production telemetry stacks use, because it is
-// fixed-size, allocation-free to observe, and merges losslessly.
+// bounded in size, cheap to observe, and merges losslessly.
+//
+// The bucket array only reaches the highest bucket used so far: a run keeps
+// many small histograms (every kv Result holds a dozen), and cycle
+// latencies rarely pass bucket 20 of the 65. Copying a Histogram shares
+// its buckets; use clone for an independent copy.
 type Histogram struct {
 	count   uint64
 	sum     uint64
 	min     uint64
 	max     uint64
-	buckets [65]uint64 // indexed by bits.Len64(sample)
+	buckets []uint64 // indexed by bits.Len64(sample), len = highest used + 1
 }
 
-// Observe adds one sample. Allocation-free.
+// Observe adds one sample. It allocates only when the sample lands above
+// every earlier one's bucket.
 func (h *Histogram) Observe(v uint64) {
 	if h.count == 0 || v < h.min {
 		h.min = v
@@ -39,7 +46,36 @@ func (h *Histogram) Observe(v uint64) {
 	}
 	h.count++
 	h.sum += v
-	h.buckets[bits.Len64(v)]++
+	i := bits.Len64(v)
+	if i >= len(h.buckets) {
+		h.grow(i + 1)
+	}
+	h.buckets[i]++
+}
+
+// grow extends the bucket array to at least n buckets.
+func (h *Histogram) grow(n int) {
+	if n <= len(h.buckets) {
+		return
+	}
+	b := make([]uint64, n)
+	copy(b, h.buckets)
+	h.buckets = b
+}
+
+// clone returns a copy of h that shares no buckets with it.
+func (h *Histogram) clone() Histogram {
+	c := *h
+	c.buckets = append([]uint64(nil), h.buckets...)
+	return c
+}
+
+// Equal reports whether h and other hold the same samples, bucket for
+// bucket. The bucket arrays of equal histograms have equal lengths, as the
+// highest used bucket follows from max.
+func (h *Histogram) Equal(other *Histogram) bool {
+	return h.count == other.count && h.sum == other.sum && h.min == other.min &&
+		h.max == other.max && slices.Equal(h.buckets, other.buckets)
 }
 
 // Count returns the number of samples.
@@ -130,8 +166,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.count += other.count
 	h.sum += other.sum
-	for i := range h.buckets {
-		h.buckets[i] += other.buckets[i]
+	h.grow(len(other.buckets))
+	for i, c := range other.buckets {
+		h.buckets[i] += c
 	}
 }
 

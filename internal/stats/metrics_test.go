@@ -90,13 +90,13 @@ func TestHistogramMerge(t *testing.T) {
 		whole.Observe(v * v)
 	}
 	a.Merge(&b)
-	if a != whole {
+	if !a.Equal(&whole) {
 		t.Fatal("merged histogram differs from whole")
 	}
 	a.Merge(nil) // must be a no-op
 	var empty Histogram
 	a.Merge(&empty)
-	if a != whole {
+	if !a.Equal(&whole) {
 		t.Fatal("merging nil/empty changed the histogram")
 	}
 }

@@ -151,8 +151,12 @@ func (w *Windowed) Merge(other *Windowed) {
 		panic(fmt.Sprintf("stats: merging windowed histograms with different shapes (width %d/slo %d vs %d/%d)",
 			w.base, w.slo, other.base, other.slo))
 	}
-	// Work on a copy of other's windows so the donor is untouched.
-	ows := append([]window(nil), other.wins...)
+	// Work on a deep copy of other's windows so the donor is untouched:
+	// the merged windows must not share bucket arrays with it.
+	ows := make([]window, len(other.wins))
+	for i := range other.wins {
+		ows[i] = window{start: other.wins[i].start, over: other.wins[i].over, hist: other.wins[i].hist.clone()}
+	}
 	width := w.width
 	if other.width > width {
 		width = other.width

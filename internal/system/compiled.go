@@ -9,8 +9,8 @@ import (
 
 // CompiledProgram is one thread's workload body in compiled form: an ir.Prog
 // the core interprets inline from the event kernel instead of running a
-// goroutine. RunCompiled produces byte-identical Results to Run over the
-// goroutine twins — that equivalence is gated by `make ir-equiv`.
+// coroutine. RunCompiled produces byte-identical Results to Run over the
+// cpu.Env twins — that equivalence is gated by `make ir-equiv`.
 type CompiledProgram = *ir.Prog
 
 // RunCompiled is Run over compiled programs: one per core, run to

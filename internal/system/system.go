@@ -151,8 +151,8 @@ func DurabilityPointFor(s persistency.Scheme) trace.DurabilityPoint {
 	}
 }
 
-// Program is one thread's workload body, executed on its own goroutine
-// against the core's Env.
+// Program is one thread's workload body, executed as a coroutine of its
+// core against the core's Env.
 type Program func(cpu.Env)
 
 // Result summarizes one completed run.
@@ -207,11 +207,14 @@ func (r Result) DurabilitySummary() string {
 
 // Run starts one program per core and runs the machine until every program
 // completes, then finalizes the WPQ so NVMM write counts are comparable
-// across schemes. programs must have exactly one entry per core.
+// across schemes. programs must have exactly one entry per core. A program
+// panic reaches the caller as a *cpu.ProgramPanic, with every other
+// program already stopped.
 func (s *System) Run(programs []Program) Result {
 	if len(programs) != s.Cfg.Cores {
 		panic(fmt.Sprintf("system: %d programs for %d cores", len(programs), s.Cfg.Cores))
 	}
+	defer s.shutdownOnPanic()
 	for i, p := range programs {
 		s.Cores[i].Start(p)
 	}
@@ -229,11 +232,13 @@ func (s *System) Run(programs []Program) Result {
 }
 
 // RunUntil runs the machine until the given cycle (or completion) and
-// reports whether every program finished. Used by crash injection.
+// reports whether every program finished. Used by crash injection; the
+// unfinished programs stay suspended until Crash or Shutdown stops them.
 func (s *System) RunUntil(limit engine.Cycle, programs []Program) bool {
 	if len(programs) != s.Cfg.Cores {
 		panic(fmt.Sprintf("system: %d programs for %d cores", len(programs), s.Cfg.Cores))
 	}
+	defer s.shutdownOnPanic()
 	for i, p := range programs {
 		s.Cores[i].Start(p)
 	}
@@ -254,10 +259,20 @@ func (s *System) Crash() persistency.DrainReport {
 	return s.Model.CrashDrain(s.Cores, s.Hier, s.NVMM, s.Mem)
 }
 
-// Shutdown abandons all workload goroutines; safe to call more than once.
+// Shutdown abandons all workload programs; safe to call more than once.
 func (s *System) Shutdown() {
 	for _, c := range s.Cores {
 		c.Stop()
+	}
+}
+
+// shutdownOnPanic stops every program when a panic unwinds through the
+// engine, so the other cores' suspended coroutines do not leak, and then
+// re-raises the panic. Deferred by Run and RunUntil.
+func (s *System) shutdownOnPanic() {
+	if r := recover(); r != nil {
+		s.Shutdown()
+		panic(r)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // CompiledWorkload is a Workload that can also express its per-thread
 // programs as ir.Prog streams the core interprets inline from the event
-// kernel — no goroutine, no channel handoff per access. A compiled program
+// kernel — no coroutine switch per access. A compiled program
 // must be the exact twin of the corresponding Programs entry: same PRNG
 // draw order, same loads, stores, barriers and compute in the same order,
 // so both paths produce byte-identical system.Results (`make ir-equiv`).
