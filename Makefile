@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race invariant fuzz-short mc-short litmus-short pressure-short kv-short trace-smoke ir-equiv campaign-short perf-smoke regress check bench-json bench-profile
+.PHONY: all build test vet race invariant fuzz-short mc-short litmus-short pressure-short kv-short trace-smoke campaign-short perf-smoke regress check bench-json bench-profile
 
 all: check
 
@@ -36,8 +36,8 @@ invariant:
 # Non-gating; CI uploads the files as artifacts and `make regress` judges
 # the trajectory.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkIRThroughput|BenchmarkIRInterpreter|BenchmarkFig7aExecutionTime|BenchmarkEngineKernel|BenchmarkCrashMCEnumerate|BenchmarkAxiomaticEnumerate|BenchmarkTraceOverhead|BenchmarkPressureLint|BenchmarkKVService|BenchmarkPDSQueue' \
-		-benchmem . ./internal/engine ./internal/ir ./internal/crashmc ./internal/axiomatic ./internal/trace ./internal/vet/pressurelint ./internal/kvservice ./internal/pds \
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFig7aExecutionTime|BenchmarkEngineKernel|BenchmarkCrashMCEnumerate|BenchmarkAxiomaticEnumerate|BenchmarkTraceOverhead|BenchmarkPressureLint|BenchmarkKVService|BenchmarkPDSQueue' \
+		-benchmem . ./internal/engine ./internal/crashmc ./internal/axiomatic ./internal/trace ./internal/vet/pressurelint ./internal/kvservice ./internal/pds \
 		| $(GO) run ./cmd/benchjson -ledger .ledger -name bench-json > BENCH_$$(ls BENCH_*.json 2>/dev/null | wc -l).json
 	@ls BENCH_*.json | tail -1
 
@@ -48,12 +48,12 @@ bench-json:
 regress:
 	$(GO) run ./cmd/bbbregress -dir . -ledger .ledger
 
-# Hot-path profiling: run the compiled-IR throughput benchmark under the CPU
+# Hot-path profiling: run the simulator throughput benchmark under the CPU
 # and allocation profilers (bbbsim's -cpuprofile/-memprofile flags do the
 # same for arbitrary workload/scheme combinations). Inspect with
 # `go tool pprof bbb.test cpu.out`.
 bench-profile:
-	$(GO) test -run '^$$' -bench 'BenchmarkIRThroughput' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput' -benchmem \
 		-cpuprofile cpu.out -memprofile mem.out .
 	@echo "profiles: cpu.out mem.out (binary: bbb.test)"
 
@@ -113,7 +113,7 @@ kv-short:
 # then the same campaign killed at half its points and resumed at a
 # different worker count, and require the resumed report — frontier table,
 # summary digest and all — to be byte-identical to the uninterrupted one
-# (docs/ARCHITECTURE.md §15). The kill goes through -max-points, the same
+# (docs/ARCHITECTURE.md §14). The kill goes through -max-points, the same
 # truncation an actual SIGKILL leaves behind: complete points on disk, the
 # rest missing.
 campaign-short:
@@ -136,13 +136,6 @@ campaign-short:
 litmus-short:
 	$(GO) run ./cmd/bbblitmus conform -points 6
 
-# Compiled-IR equivalence gate: the interpreter path must produce Results
-# byte-identical to the goroutine drivers across the full workload × scheme
-# × seed matrix (including crash-at-cycle images and parallel fan-out), and
-# every compiled twin's machine-op trace must match its cpu.Env twin.
-ir-equiv:
-	$(GO) test -count=1 -run 'TestIR' . ./internal/workload
-
 # Benchmark smoke: perfbench's self-tests, then a one-second untraced run
 # of each workload, which must report correct results and no failed
 # operation. Every run checks each simulated result against
@@ -161,4 +154,4 @@ perf-smoke:
 	done; echo "perf-smoke: ok"
 
 # Tier-1.5: everything above.
-check: build test vet race invariant mc-short litmus-short pressure-short kv-short trace-smoke campaign-short ir-equiv perf-smoke regress
+check: build test vet race invariant mc-short litmus-short pressure-short kv-short trace-smoke campaign-short perf-smoke regress

@@ -24,7 +24,6 @@ import (
 
 	"bbb/internal/coherence"
 	"bbb/internal/engine"
-	"bbb/internal/ir"
 	"bbb/internal/memory"
 	"bbb/internal/stats"
 	"bbb/internal/trace"
@@ -100,8 +99,7 @@ type Core struct {
 	h   *coherence.Hierarchy
 
 	// next and stop drive the program coroutine (Start); resumeVal carries
-	// the completed request's result back into it. nil for compiled
-	// programs and before Start.
+	// the completed request's result back into it. nil before Start.
 	next      func() (request, bool)
 	stop      func()
 	resumeVal uint64
@@ -140,11 +138,6 @@ type Core struct {
 	casFn             func()
 	epochFn           func()
 	clwbDone          func()
-
-	// interp drives a compiled program (StartCompiled) inline from the
-	// event kernel; nil for the coroutine path.
-	interp    *ir.Interp
-	interpAct ir.Action
 
 	done     bool
 	finished engine.Cycle
@@ -254,47 +247,6 @@ func (p *ProgramPanic) Error() string {
 	return fmt.Sprintf("cpu: core %d program panicked: %v\n\n%s", p.Core, p.Value, p.Stack)
 }
 
-// StartCompiled schedules a compiled program on the core. The interpreter
-// runs inline from the event kernel — no coroutine switch — feeding the
-// same handle() dispatch the coroutine path uses, so both paths schedule
-// identical events and produce byte-identical results.
-func (c *Core) StartCompiled(p *ir.Prog) {
-	c.interp = new(ir.Interp)
-	c.interp.Reset(p, ir.Config{
-		ExplicitPersist: c.cfg.ExplicitPersist,
-		EpochMode:       c.cfg.EpochMode,
-	})
-	c.eng.Schedule(0, c.fetchFn)
-}
-
-// stepCompiled advances the interpreter to its next machine action and
-// dispatches it; val resumes a pending load/CAS result, mirroring
-// resumeVal on the coroutine path.
-func (c *Core) stepCompiled(val uint64) {
-	a := &c.interpAct
-	c.interp.Next(val, a)
-	switch a.Kind {
-	case ir.ActionDone:
-		c.handle(request{kind: reqDone})
-	case ir.ActionLoad:
-		c.handle(request{kind: reqLoad, addr: a.Addr, size: a.Size})
-	case ir.ActionStore:
-		c.handle(request{kind: reqStore, addr: a.Addr, size: a.Size, val: a.Val})
-	case ir.ActionFlush:
-		c.handle(request{kind: reqPersist, addr: a.Addr})
-	case ir.ActionFence:
-		c.handle(request{kind: reqFence})
-	case ir.ActionEpoch:
-		c.handle(request{kind: reqEpoch})
-	case ir.ActionCompute:
-		c.handle(request{kind: reqCompute, cycles: a.Cycles})
-	case ir.ActionCAS:
-		c.handle(request{kind: reqCAS, addr: a.Addr, size: a.Size, old: a.Old, val: a.Val})
-	default:
-		panic(fmt.Sprintf("cpu: unknown compiled action %d", a.Kind))
-	}
-}
-
 // Stop abandons the workload; used at crash points and teardown. A
 // program suspended in an Env call unwinds (its deferred calls run) and
 // its coroutine exits. Safe before Start, before the first fetch, after
@@ -305,16 +257,10 @@ func (c *Core) Stop() {
 	}
 }
 
-// fetch obtains the program's next request: compiled programs step the
-// inline interpreter; coroutine programs run until their next Env call
-// yields a request, or until they return, which is the Done request.
+// fetch obtains the program's next request: the coroutine runs until its
+// next Env call yields a request, or until it returns, which is the Done
+// request.
 func (c *Core) fetch() {
-	if c.interp != nil {
-		// Only the initial scheduled fetch lands here; the interpreter has
-		// no pending value to resume, so the argument is ignored.
-		c.stepCompiled(0)
-		return
-	}
 	req, ok := c.next()
 	if !ok {
 		req = request{kind: reqDone}
@@ -369,14 +315,8 @@ func (c *Core) handle(req request) {
 	}
 }
 
-// reply resumes the program with val and advances to its next request:
-// inline interpreter step for compiled programs, a coroutine switch for
-// the others.
+// reply resumes the program with val and advances to its next request.
 func (c *Core) reply(val uint64) {
-	if c.interp != nil {
-		c.stepCompiled(val)
-		return
-	}
 	c.resumeVal = val
 	c.fetch()
 }

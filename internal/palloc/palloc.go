@@ -100,17 +100,6 @@ func (a *Arena) Live() int {
 	return len(a.allocated)
 }
 
-// Mark returns the arena's current bump pointer: the address the next
-// fresh (non-recycled) Alloc will return. Workload compilers use it to
-// precompute the deterministic allocation sequence their IR twins replay
-// with a bump register — sound because Alloc rounds every request to whole
-// lines and the compiled workloads never Free.
-func (a *Arena) Mark() memory.Addr {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.next
-}
-
 // BytesUsed reports the high-water mark of arena consumption.
 func (a *Arena) BytesUsed() uint64 {
 	a.mu.Lock()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bbb/internal/cpu"
-	"bbb/internal/ir"
 	"bbb/internal/memory"
 	"bbb/internal/persistency"
 )
@@ -46,27 +45,6 @@ func TestRunUntilCrashLeavesNoGoroutines(t *testing.T) {
 	}
 	sys.Crash()
 	sys.Shutdown() // a second teardown is a no-op
-	checkGoroutines(t, base)
-}
-
-func TestRunUntilCompiledCrashLeavesNoGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	sys := New(smallConfig(persistency.BBB))
-	progs := make([]CompiledProgram, sys.Cfg.Cores)
-	for i := range progs {
-		b := ir.NewBuilder(int64(i))
-		loop := b.NewLabel()
-		b.Const(0, sys.Cfg.Layout.PersistentBase+uint64(i)*64*1024)
-		b.Bind(loop)
-		b.AddImm(1, 1, 1)
-		b.Store64(1, 0, 0)
-		b.Jmp(loop)
-		progs[i] = b.Build()
-	}
-	if sys.RunUntilCompiled(5000, progs) {
-		t.Fatal("endless programs finished")
-	}
-	sys.Crash()
 	checkGoroutines(t, base)
 }
 
