@@ -25,7 +25,9 @@ type Bounds struct {
 	MaxFlips int
 	// MaxImages caps the survival sets materialized per crash point;
 	// enumeration past the cap is counted in SetsSkipped, never silent.
-	// Default 4096.
+	// The cap also bounds generation: no group builds more than MaxImages
+	// candidate sets, so enumeration time and memory stay proportional to
+	// the cap however large MaxFlips or the pending set grow. Default 4096.
 	MaxImages int
 }
 
@@ -205,65 +207,79 @@ func epochRuns(rec *Record, idx []int) []int {
 }
 
 // boundedSubsets returns subsets of idx per Bounds, deterministically
-// ordered: by cardinality ascending, lexicographic within a cardinality,
-// with the near-full complements last. The empty set is always first.
+// ordered: by cardinality ascending, lexicographic within a cardinality
+// (ascending bitmask order when exhaustive), with the near-full
+// complements last. The empty set is always first. The list stops at
+// MaxImages entries: Enumerate's odometer reaches a group's j-th
+// candidate only after at least j emitted sets, so later candidates are
+// never used.
 func boundedSubsets(idx []int, b Bounds) [][]int {
 	n := len(idx)
+	var out [][]int
+	add := func(s []int) bool {
+		out = append(out, s)
+		return len(out) < b.MaxImages
+	}
 	if n <= b.ExhaustiveLimit {
-		out := make([][]int, 0, 1<<uint(n))
-		for mask := 0; mask < 1<<uint(n); mask++ {
-			var s []int
-			for i := 0; i < n; i++ {
-				if mask&(1<<uint(i)) != 0 {
-					s = append(s, idx[i])
+		// Gosper's hack walks the n-bit masks of each popcount k in
+		// ascending order.
+		for k := 0; k <= n; k++ {
+			for mask := uint64(1)<<uint(k) - 1; mask < 1<<uint(n); {
+				var s []int
+				for i := 0; i < n; i++ {
+					if mask&(1<<uint(i)) != 0 {
+						s = append(s, idx[i])
+					}
 				}
+				if !add(s) {
+					return out
+				}
+				if k == 0 {
+					break
+				}
+				c := mask & -mask
+				r := mask + c
+				mask = (r^mask)>>2/c | r
 			}
-			out = append(out, s)
 		}
-		sort.SliceStable(out, func(i, j int) bool { return len(out[i]) < len(out[j]) })
 		return out
 	}
-	var sizes []int
 	for k := 0; k <= n; k++ {
-		if k <= b.MaxFlips || k >= n-b.MaxFlips {
-			sizes = append(sizes, k)
+		if k > b.MaxFlips && k < n-b.MaxFlips {
+			continue
 		}
-	}
-	var out [][]int
-	for _, k := range sizes {
-		combinations(idx, k, func(s []int) {
-			out = append(out, append([]int(nil), s...))
-		})
+		if !combinations(idx, k, func(s []int) bool { return add(append([]int(nil), s...)) }) {
+			break
+		}
 	}
 	return out
 }
 
 // combinations calls fn with every k-of-idx combination in lexicographic
-// order. fn must copy s if it retains it.
-func combinations(idx []int, k int, fn func(s []int)) {
-	if k == 0 {
-		fn(nil)
-		return
-	}
+// order until fn returns false, and reports whether it ran to the end. fn
+// must copy s if it retains it.
+func combinations(idx []int, k int, fn func(s []int) bool) bool {
 	sel := make([]int, k)
-	var rec func(start, d int)
-	rec = func(start, d int) {
+	var rec func(start, d int) bool
+	rec = func(start, d int) bool {
 		if d == k {
-			fn(sel)
-			return
+			return fn(sel)
 		}
 		for i := start; i <= len(idx)-(k-d); i++ {
 			sel[d] = idx[i]
-			rec(i+1, d+1)
+			if !rec(i+1, d+1) {
+				return false
+			}
 		}
+		return true
 	}
-	rec(0, 0)
+	return rec(0, 0)
 }
 
 // epochSubsets returns one core's legal vpb survival sets: for each cut
 // epoch, every earlier epoch survives in full and the frontier epoch
-// contributes any bounded subset. Duplicates across adjacent cuts (full
-// frontier == next cut's empty frontier) are removed.
+// contributes any bounded subset. Like boundedSubsets, the list stops at
+// MaxImages entries.
 func epochSubsets(rec *Record, idx []int, b Bounds) [][]int {
 	// Group the core's pending indices by epoch, ascending. Capture
 	// order is allocation order and epochs only ever increment, so idx
@@ -280,34 +296,21 @@ func epochSubsets(rec *Record, idx []int, b Bounds) [][]int {
 		}
 		epochs[len(epochs)-1] = append(epochs[len(epochs)-1], i)
 	}
-	var (
-		out    [][]int
-		seen   = make(map[string]bool)
-		prefix []int
-	)
-	add := func(s []int) {
-		key := setKey(s)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, append([]int(nil), s...))
-		}
-	}
-	add(nil) // nothing extra drained
+	out := [][]int{nil} // nothing extra drained
+	var prefix []int
 	for _, frontier := range epochs {
-		for _, fs := range boundedSubsets(frontier, b) {
-			add(append(append([]int(nil), prefix...), fs...))
+		// A frontier's first candidate, the empty set, repeats the
+		// previous cut's full frontier (the last candidate of a list
+		// that was not cut short) or, for the first epoch, the nil set.
+		for _, fs := range boundedSubsets(frontier, b)[1:] {
+			if len(out) >= b.MaxImages {
+				return out
+			}
+			out = append(out, append(append([]int(nil), prefix...), fs...))
 		}
 		prefix = append(prefix, frontier...)
 	}
 	return out
-}
-
-func setKey(s []int) string {
-	k := make([]byte, 0, 4*len(s))
-	for _, i := range s {
-		k = binary.LittleEndian.AppendUint32(k, uint32(i))
-	}
-	return string(k)
 }
 
 // materialize resolves a survival set into its canonical image: survivors

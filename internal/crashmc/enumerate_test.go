@@ -1,6 +1,8 @@
 package crashmc
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"bbb/internal/memory"
@@ -89,18 +91,85 @@ func TestEnumerateBoundedPruning(t *testing.T) {
 	}
 }
 
+// TestEnumerateMaxImagesCap pins cap exactness: a capped enumeration
+// emits exactly MaxImages sets, reports the full legal space minus them
+// as skipped, and yields the leading images of the uncapped enumeration
+// of the same record — the cap truncates, it never reorders.
 func TestEnumerateMaxImagesCap(t *testing.T) {
+	var free8, free20 []PendingWrite
+	for i := 0; i < 20; i++ {
+		w := freeWrite(i, byte(i%5+1))
+		if i < 8 {
+			free8 = append(free8, w)
+		}
+		free20 = append(free20, w)
+	}
+	// Core 0: epochs of 2 and 6 writes; core 1: epochs of 1 and 2.
+	var epochs []PendingWrite
+	for i, e := range []struct {
+		core  int
+		epoch uint64
+	}{{0, 1}, {0, 1}, {1, 1}, {0, 2}, {0, 2}, {1, 2}, {0, 2}, {0, 2}, {1, 2}, {0, 2}, {0, 2}} {
+		epochs = append(epochs, epochWrite(i, e.core, e.epoch, byte(i%3+1)))
+	}
+	cases := []struct {
+		name    string
+		pending []PendingWrite
+		bounds  Bounds
+		space   uint64 // full legal survival space
+	}{
+		{"free exhaustive", free8, Bounds{MaxImages: 10}, 1 << 8},
+		{"free beyond ExhaustiveLimit", free20, Bounds{ExhaustiveLimit: 4, MaxFlips: 2, MaxImages: 50}, 1 << 20},
+		// Per core: 1 + Σ(2^|epoch| - 1) = 1+3+63 = 67 and 1+1+3 = 5.
+		{"two-core epoch", epochs, Bounds{ExhaustiveLimit: 4, MaxImages: 3}, 67 * 5},
+		{"two-core epoch, first core cut", epochs, Bounds{ExhaustiveLimit: 4, MaxImages: 12}, 67 * 5},
+	}
+	for _, tc := range cases {
+		rec := testRecord(tc.pending)
+		capped := Enumerate(rec, tc.bounds)
+		uncappedBounds := tc.bounds
+		uncappedBounds.MaxImages = 1 << 20
+		full := Enumerate(rec, uncappedBounds)
+		if full.Sets <= tc.bounds.MaxImages {
+			t.Fatalf("%s: uncapped enumeration has %d sets, not above the cap %d", tc.name, full.Sets, tc.bounds.MaxImages)
+		}
+		if capped.Sets != tc.bounds.MaxImages {
+			t.Errorf("%s: Sets = %d, want the cap %d", tc.name, capped.Sets, tc.bounds.MaxImages)
+		}
+		if want := tc.space - uint64(tc.bounds.MaxImages); capped.SetsSkipped != want {
+			t.Errorf("%s: SetsSkipped = %d, want %d", tc.name, capped.SetsSkipped, want)
+		}
+		if len(capped.Images) > len(full.Images) {
+			t.Fatalf("%s: capped run found %d images, uncapped only %d", tc.name, len(capped.Images), len(full.Images))
+		}
+		for i, img := range capped.Images {
+			if img.Hash != full.Images[i].Hash || !reflect.DeepEqual(img.Survivors, full.Images[i].Survivors) {
+				t.Errorf("%s: image %d = %v, want the uncapped run's %v", tc.name, i, img.Survivors, full.Images[i].Survivors)
+			}
+		}
+	}
+}
+
+// TestEnumerateMaxFlips3AllocationBound is the regression test for the
+// bbbmc -maxflips 3 memory blow-up: 120 free writes have C(120,3) size-3
+// subsets and as many near-full complements, but the cap of 4096 sets is
+// reached among the size-2 subsets, so none of the rest may be built.
+func TestEnumerateMaxFlips3AllocationBound(t *testing.T) {
 	var pending []PendingWrite
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 120; i++ {
 		pending = append(pending, freeWrite(i, byte(i+1)))
 	}
 	rec := testRecord(pending)
-	enum := Enumerate(rec, Bounds{MaxImages: 10})
-	if enum.Sets != 10 {
-		t.Fatalf("cap of 10 sets, got %d", enum.Sets)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	enum := Enumerate(rec, Bounds{MaxFlips: 3})
+	runtime.ReadMemStats(&after)
+	if enum.Sets != 4096 {
+		t.Fatalf("Sets = %d, want the default cap 4096", enum.Sets)
 	}
-	if enum.SetsSkipped != 256-10 {
-		t.Fatalf("skipped %d, want 246", enum.SetsSkipped)
+	const limit = 32 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+		t.Fatalf("Enumerate allocated %d MB for 4096 sets, want under %d MB", alloc>>20, limit>>20)
 	}
 }
 

@@ -197,6 +197,21 @@ func (m *Memory) Peek(a Addr, n int) []byte {
 	return out
 }
 
+// Peek64 reads a little-endian uint64 at a without accounting — the
+// allocation-free word read recovery checkers lean on, mirroring Poke64.
+// An unmaterialized page reads as zero, as with Peek.
+func (m *Memory) Peek64(a Addr) uint64 {
+	off := a & (PageSize - 1)
+	if off+8 > PageSize {
+		return binary.LittleEndian.Uint64(m.Peek(a, 8))
+	}
+	p := m.page(a, false)
+	if p == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(p[off:])
+}
+
 // Poke writes raw bytes without accounting (test/initialization helper).
 func (m *Memory) Poke(a Addr, b []byte) {
 	for i := 0; i < len(b); {

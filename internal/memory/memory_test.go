@@ -2,6 +2,7 @@ package memory
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +105,43 @@ func TestPokePeekCrossPage(t *testing.T) {
 	}
 	if m.TouchedPages() != 4 {
 		t.Fatalf("TouchedPages = %d, want 4", m.TouchedPages())
+	}
+}
+
+func TestPeek64MatchesPeek(t *testing.T) {
+	m := New(DefaultLayout())
+	nvmm := m.Layout().NVMMBase
+	data := make([]byte, 2*PageSize)
+	for i := range data {
+		data[i] = byte(i*13 + 1)
+	}
+	m.Poke(nvmm, data)
+	// A word straddling a materialized and an unmaterialized page.
+	m.Poke(nvmm+4*PageSize-4, []byte{1, 2, 3, 4})
+	for _, tc := range []struct {
+		name string
+		a    Addr
+	}{
+		{"in-page", nvmm + 96},
+		{"unaligned in-page", nvmm + 1000 + 3},
+		{"page-crossing", nvmm + PageSize - 3},
+		{"unmaterialized", nvmm + 8*PageSize + 64},
+		{"crossing into unmaterialized", nvmm + 4*PageSize - 4},
+	} {
+		want := binary.LittleEndian.Uint64(m.Peek(tc.a, 8))
+		if got := m.Peek64(tc.a); got != want {
+			t.Errorf("%s: Peek64(%#x) = %#x, want %#x", tc.name, tc.a, got, want)
+		}
+	}
+	if m.TouchedPages() != 3 {
+		t.Fatalf("TouchedPages = %d, want 3: reads must not materialize pages", m.TouchedPages())
+	}
+	m.Poke64(nvmm+PageSize-5, 0x0102030405060708)
+	if got := m.Peek64(nvmm + PageSize - 5); got != 0x0102030405060708 {
+		t.Fatalf("page-crossing Poke64/Peek64 round trip = %#x", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Peek64(nvmm + 96) }); allocs != 0 {
+		t.Fatalf("in-page Peek64 allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -213,41 +213,41 @@ type MapImage struct {
 // never sees a half-migrated table.
 func RecoverMap(mem *memory.Memory, root memory.Addr) (MapImage, error) {
 	img := MapImage{Live: map[uint64]uint64{}, Dead: map[uint64]bool{}}
-	if m := peek(mem, root); m != magicMapRoot {
+	if m := mem.Peek64(root); m != magicMapRoot {
 		return img, fmt.Errorf("pds/map: root %#x not sealed (magic %#x)", root, m)
 	}
-	ta := memory.Addr(peek(mem, root+hmOffTable))
-	if m := peek(mem, ta); m != magicMapTable {
+	ta := memory.Addr(mem.Peek64(root + hmOffTable))
+	if m := mem.Peek64(ta); m != magicMapTable {
 		return img, fmt.Errorf("pds/map: root points at unsealed table %#x (magic %#x)", ta, m)
 	}
-	nb := peek(mem, ta+hmOffBuckets)
+	nb := mem.Peek64(ta + hmOffBuckets)
 	if nb == 0 || nb > 1<<20 {
 		return img, fmt.Errorf("pds/map: implausible bucket count %d", nb)
 	}
 	img.Buckets = nb
 	seen := map[memory.Addr]bool{}
 	for i := uint64(0); i < nb; i++ {
-		cur := memory.Addr(peek(mem, ta+hmOffBucket0+memory.Addr(8*i)))
+		cur := memory.Addr(mem.Peek64(ta + hmOffBucket0 + memory.Addr(8*i)))
 		for cur != 0 {
 			if seen[cur] {
 				return img, fmt.Errorf("pds/map: node %#x reachable twice", cur)
 			}
 			seen[cur] = true
-			if m := peek(mem, cur); m != magicMapNode {
+			if m := mem.Peek64(cur); m != magicMapNode {
 				return img, fmt.Errorf("pds/map: node %#x reachable but not sealed (magic %#x)", cur, m)
 			}
-			key := peek(mem, cur+hmOffKey)
+			key := mem.Peek64(cur + hmOffKey)
 			if hashKey(key)%nb != i {
 				return img, fmt.Errorf("pds/map: key %d found in bucket %d, hashes to %d", key, i, hashKey(key)%nb)
 			}
 			if _, dup := img.Live[key]; !dup && !img.Dead[key] {
-				if peek(mem, cur+hmOffDead) != 0 {
+				if mem.Peek64(cur+hmOffDead) != 0 {
 					img.Dead[key] = true
 				} else {
-					img.Live[key] = peek(mem, cur+hmOffVal)
+					img.Live[key] = mem.Peek64(cur + hmOffVal)
 				}
 			}
-			cur = memory.Addr(peek(mem, cur+hmOffNext))
+			cur = memory.Addr(mem.Peek64(cur + hmOffNext))
 		}
 	}
 	return img, nil

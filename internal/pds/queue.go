@@ -109,7 +109,7 @@ type QueueImage struct {
 // as "points at a sealed node", never trusted for position.
 func RecoverQueue(mem *memory.Memory, hdr memory.Addr) (QueueImage, error) {
 	var img QueueImage
-	head := memory.Addr(peek(mem, hdr+qOffHead))
+	head := memory.Addr(mem.Peek64(hdr + qOffHead))
 	if head == 0 {
 		return img, fmt.Errorf("pds/queue: head cell empty")
 	}
@@ -120,33 +120,23 @@ func RecoverQueue(mem *memory.Memory, hdr memory.Addr) (QueueImage, error) {
 			return img, fmt.Errorf("pds/queue: cycle through node %#x", cur)
 		}
 		seen[cur] = true
-		if m := peek(mem, cur); m != magicQueueNode {
+		if m := mem.Peek64(cur); m != magicQueueNode {
 			return img, fmt.Errorf("pds/queue: node %#x reachable but not sealed (magic %#x)", cur, m)
 		}
 		if cur != head {
-			img.Vals = append(img.Vals, peek(mem, cur+qOffVal))
+			img.Vals = append(img.Vals, mem.Peek64(cur+qOffVal))
 		}
-		next := memory.Addr(peek(mem, cur+qOffNext))
+		next := memory.Addr(mem.Peek64(cur + qOffNext))
 		if next == 0 {
 			img.Tail = cur
 			break
 		}
 		cur = next
 	}
-	if t := memory.Addr(peek(mem, hdr+qOffTail)); t != 0 {
-		if m := peek(mem, t); m != magicQueueNode {
+	if t := memory.Addr(mem.Peek64(hdr + qOffTail)); t != 0 {
+		if m := mem.Peek64(t); m != magicQueueNode {
 			return img, fmt.Errorf("pds/queue: tail cell %#x points at unsealed line (magic %#x)", t, m)
 		}
 	}
 	return img, nil
-}
-
-// peek reads a little-endian uint64 from the durable image.
-func peek(mem *memory.Memory, a memory.Addr) uint64 {
-	b := mem.Peek(a, 8)
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }

@@ -176,7 +176,7 @@ type ListImage struct {
 // subsequences of level 0 linking only nodes tall enough to appear there.
 func RecoverList(mem *memory.Memory, head memory.Addr) (ListImage, error) {
 	var img ListImage
-	if m := peek(mem, head); m != magicListHead {
+	if m := mem.Peek64(head); m != magicListHead {
 		return img, fmt.Errorf("pds/list: head %#x not sealed (magic %#x)", head, m)
 	}
 	onLevel0 := map[memory.Addr]bool{}
@@ -184,17 +184,17 @@ func RecoverList(mem *memory.Memory, head memory.Addr) (ListImage, error) {
 		var last uint64
 		first := true
 		seen := map[memory.Addr]bool{}
-		cur := memory.Addr(peek(mem, head+slOffNext0+memory.Addr(8*i)))
+		cur := memory.Addr(mem.Peek64(head + slOffNext0 + memory.Addr(8*i)))
 		for cur != 0 {
 			if seen[cur] {
 				return img, fmt.Errorf("pds/list: level %d cycles through %#x", i, cur)
 			}
 			seen[cur] = true
-			if m := peek(mem, cur); m != magicListNode {
+			if m := mem.Peek64(cur); m != magicListNode {
 				return img, fmt.Errorf("pds/list: node %#x reachable at level %d but not sealed (magic %#x)", cur, i, m)
 			}
-			key := peek(mem, cur+slOffKey)
-			ht := peek(mem, cur+slOffHeight)
+			key := mem.Peek64(cur + slOffKey)
+			ht := mem.Peek64(cur + slOffHeight)
 			if ht == 0 || ht > slMaxHeight {
 				return img, fmt.Errorf("pds/list: node %#x has height %d", cur, ht)
 			}
@@ -210,12 +210,12 @@ func RecoverList(mem *memory.Memory, head memory.Addr) (ListImage, error) {
 			if i == 0 {
 				onLevel0[cur] = true
 				img.Keys = append(img.Keys, key)
-				img.Vals = append(img.Vals, peek(mem, cur+slOffVal))
+				img.Vals = append(img.Vals, mem.Peek64(cur+slOffVal))
 			} else if !onLevel0[cur] {
 				return img, fmt.Errorf("pds/list: node %#x on level %d but not on level 0", cur, i)
 			}
 			last, first = key, false
-			cur = memory.Addr(peek(mem, cur+slOffLink0+memory.Addr(8*(uint64(i)))))
+			cur = memory.Addr(mem.Peek64(cur + slOffLink0 + memory.Addr(8*(uint64(i)))))
 		}
 	}
 	return img, nil

@@ -210,12 +210,7 @@ func volatileWork(e cpu.Env, thread, n int, r *rand.Rand) {
 
 // peek64 reads a little-endian uint64 from the durable image.
 func peek64(mem *memory.Memory, a memory.Addr) uint64 {
-	b := mem.Peek(a, 8)
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
+	return mem.Peek64(a)
 }
 
 // poke64 writes a little-endian uint64 into the durable image (setup only).
