@@ -63,14 +63,18 @@ bench-profile:
 	@echo "profiles: cpu.out mem.out (binary: bbb.test)"
 
 # Observability smoke: drive the full cmd/bbbtrace pipeline end to end —
-# record the same run twice (streams must be byte-identical), filter by
-# kind (exercising the JSONL re-parse), replay durability provenance
-# offline, and export to Perfetto JSON. See docs/ARCHITECTURE.md §11.
+# record the same run twice (streams must be byte-identical), stream it
+# again through bbbsim -trace-out (the same run pipeline must give the same
+# bytes), filter by kind (exercising the JSONL re-parse), replay durability
+# provenance offline, and export to Perfetto JSON. See
+# docs/ARCHITECTURE.md §11.
 trace-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/bbbtrace record -workload hashmap -scheme bbb -ops 100 -o $$tmp/a.jsonl; \
-	$(GO) run ./cmd/bbbtrace record -workload hashmap -scheme bbb -ops 100 -o $$tmp/b.jsonl >/dev/null; \
+	$(GO) run ./cmd/bbbtrace record -workload hashmap -scheme bbb -ops 100 -threads 4 -o $$tmp/a.jsonl; \
+	$(GO) run ./cmd/bbbtrace record -workload hashmap -scheme bbb -ops 100 -threads 4 -o $$tmp/b.jsonl >/dev/null; \
 	cmp -s $$tmp/a.jsonl $$tmp/b.jsonl || { echo "trace-smoke: FAIL: same seed, different streams"; exit 1; }; \
+	$(GO) run ./cmd/bbbsim -workload hashmap -scheme bbb -ops 100 -threads 4 -trace-out $$tmp/sim.jsonl >/dev/null; \
+	cmp -s $$tmp/a.jsonl $$tmp/sim.jsonl || { echo "trace-smoke: FAIL: bbbsim -trace-out and bbbtrace record streams differ"; exit 1; }; \
 	$(GO) run ./cmd/bbbtrace filter -i $$tmp/a.jsonl -kind pb-alloc -o $$tmp/alloc.jsonl 2>/dev/null; \
 	test -s $$tmp/alloc.jsonl || { echo "trace-smoke: FAIL: no pb-alloc events under bbb"; exit 1; }; \
 	$(GO) run ./cmd/bbbtrace summarize -i $$tmp/a.jsonl -scheme bbb | grep -q 'unresolved stores   0' \

@@ -91,10 +91,9 @@ type Options struct {
 	// TraceCapacity, when positive, retains the last N microarchitectural
 	// events (persist commits, bbPB traffic, coherence actions, WPQ
 	// activity) for inspection via Machine.DumpTrace or bbbsim -trace.
+	// RunStreaming and CrashTraced need none: they stream every event to
+	// their writer and keep in memory only this tail, if set.
 	TraceCapacity int
-	// TraceFull retains the entire event stream instead of a bounded tail
-	// (needed for Perfetto export and offline provenance analysis).
-	TraceFull bool
 	// StorePrefetch enables request-for-ownership prefetching of buffered
 	// stores' lines, recovering some of the memory-level parallelism an
 	// out-of-order core would have (the in-order store-buffer drain is the
@@ -172,7 +171,6 @@ func (o Options) sysConfig(s Scheme) system.Config {
 	}
 	cfg.TrackWear = o.TrackWear
 	cfg.TraceCapacity = o.TraceCapacity
-	cfg.TraceFull = o.TraceFull
 	cfg.Core.StorePrefetch = o.StorePrefetch
 	cfg.Core.RelaxedSBDrain = o.RelaxedConsistency
 	return cfg
@@ -189,11 +187,7 @@ func Workloads() []string {
 
 // Run executes one workload under one scheme to completion.
 func Run(workloadName string, s Scheme, o Options) (Result, error) {
-	w, err := workload.ByName(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
-	return workload.Run(w, s, o.sysConfig(s), o.params()), nil
+	return execute(workloadName, s, o, runSpec{})
 }
 
 // MustRun is Run for callers with vetted names (benchmarks, examples).
@@ -205,60 +199,27 @@ func MustRun(workloadName string, s Scheme, o Options) Result {
 	return r
 }
 
+// checkPeriod is how often, in cycles, RunChecked's auditor verifies the
+// machine between engine events.
+const checkPeriod Cycle = 1000
+
 // RunChecked is Run with the runtime invariant auditor armed: every
-// checkPeriod cycles (default 1000 when zero) the machine's coherence and
-// persist-buffer invariants are verified between engine events — see
-// internal/invariant — and the first violation is returned as the error
-// alongside the (tainted) result. bbbsim's -check flag uses it.
-func RunChecked(workloadName string, s Scheme, o Options, checkPeriod Cycle) (Result, error) {
-	wl, err := workload.ByName(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
-	if checkPeriod == 0 {
-		checkPeriod = 1000
-	}
-	sys, progs := workload.Build(wl, s, o.sysConfig(s), o.params())
-	defer sys.Shutdown()
-	allDone := func() bool {
-		for _, c := range sys.Cores {
-			if !c.Done() {
-				return false
-			}
-		}
-		return true
-	}
-	var violation error
-	invariant.Attach(sys, checkPeriod, allDone, func(err error) { violation = err })
-	res := sys.Run(progs)
-	workload.FoldServiceMetrics(wl, &res)
-	if violation != nil {
-		return res, fmt.Errorf("invariant violation mid-run: %w", violation)
-	}
-	if err := invariant.CheckSystem(sys); err != nil {
-		return res, fmt.Errorf("invariant violation after run: %w", err)
-	}
-	return res, nil
+// checkPeriod cycles the machine's coherence and persist-buffer invariants
+// are verified between engine events — see internal/invariant — and the
+// first violation is returned as the error alongside the (tainted) result.
+// bbbsim's -check flag uses it.
+func RunChecked(workloadName string, s Scheme, o Options) (Result, error) {
+	return execute(workloadName, s, o, runSpec{audit: true})
 }
 
 // RunTraced is Run plus a dump of the retained microarchitectural trace to
-// w after the run. Set Options.TraceCapacity to bound the tail kept.
+// w after the run. Set Options.TraceCapacity to bound the tail kept
+// (default 4096 events).
 func RunTraced(workloadName string, s Scheme, o Options, w io.Writer) (Result, error) {
-	wl, err := workload.ByName(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
 	if o.TraceCapacity == 0 {
 		o.TraceCapacity = 4096
 	}
-	sys, progs := workload.Build(wl, s, o.sysConfig(s), o.params())
-	defer sys.Shutdown()
-	res := sys.Run(progs)
-	workload.FoldServiceMetrics(wl, &res)
-	if rec := sys.Trace(); rec != nil && w != nil {
-		rec.Dump(w)
-	}
-	return res, nil
+	return execute(workloadName, s, o, runSpec{dump: w})
 }
 
 // RunStreaming is Run with full tracing on: every microarchitectural event
@@ -267,22 +228,7 @@ func RunTraced(workloadName string, s Scheme, o Options, w io.Writer) (Result, e
 // (Result.Metrics, Result.DurabilitySummary). Use cmd/bbbtrace to filter,
 // summarize or export the stream.
 func RunStreaming(workloadName string, s Scheme, o Options, w io.Writer) (Result, error) {
-	wl, err := workload.ByName(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
-	o.TraceFull = true
-	cfg := o.sysConfig(s)
-	sink := trace.NewJSONL(w)
-	cfg.TraceSink = sink
-	sys, progs := workload.Build(wl, s, cfg, o.params())
-	defer sys.Shutdown()
-	res := sys.Run(progs)
-	workload.FoldServiceMetrics(wl, &res)
-	if err := sys.Trace().Flush(); err != nil {
-		return res, fmt.Errorf("bbb: flushing trace stream: %w", err)
-	}
-	return res, nil
+	return execute(workloadName, s, o, runSpec{stream: w})
 }
 
 // CrashTraced runs workloadName under s with full tracing, crashes it at
@@ -291,21 +237,73 @@ func RunStreaming(workloadName string, s Scheme, o Options, w io.Writer) (Result
 // shows, via provenance, which visible stores only became durable because
 // of the battery (and, for volatile designs, which never did).
 func CrashTraced(workloadName string, s Scheme, o Options, crashCycle Cycle, w io.Writer) (Result, error) {
+	return execute(workloadName, s, o, runSpec{stream: w, crash: true, crashAt: crashCycle})
+}
+
+// runSpec selects what execute does beyond running the workload to
+// completion; the zero value is a plain run.
+type runSpec struct {
+	// audit arms the runtime invariant auditor (RunChecked).
+	audit bool
+	// stream, when non-nil, receives every event as a JSON line.
+	stream io.Writer
+	// dump, when non-nil, receives the retained trace tail after the run.
+	dump io.Writer
+	// crash stops the run at crashAt and performs the scheme's
+	// flush-on-fail instead of running to completion.
+	crash   bool
+	crashAt Cycle
+}
+
+// execute is the one run pipeline behind every facade entry point: resolve
+// the workload, build the machine, run it (optionally audited, streamed,
+// or crashed), fold the workload's service metrics into the result and
+// flush the trace.
+func execute(workloadName string, s Scheme, o Options, x runSpec) (Result, error) {
 	wl, err := workload.ByName(workloadName)
 	if err != nil {
 		return Result{}, err
 	}
-	o.TraceFull = true
 	cfg := o.sysConfig(s)
-	sink := trace.NewJSONL(w)
-	cfg.TraceSink = sink
+	if x.stream != nil {
+		cfg.TraceSink = trace.NewJSONL(x.stream)
+	}
 	sys, progs := workload.Build(wl, s, cfg, o.params())
 	defer sys.Shutdown()
-	sys.RunUntil(crashCycle, progs)
-	sys.Crash()
-	res := sys.ResultAfterCrash()
+	var violation error
+	if x.audit {
+		allDone := func() bool {
+			for _, c := range sys.Cores {
+				if !c.Done() {
+					return false
+				}
+			}
+			return true
+		}
+		invariant.Attach(sys, checkPeriod, allDone, func(err error) { violation = err })
+	}
+	var res Result
+	if x.crash {
+		sys.RunUntil(x.crashAt, progs)
+		sys.Crash()
+		res = sys.ResultAfterCrash()
+	} else {
+		res = sys.Run(progs)
+	}
+	workload.FoldServiceMetrics(wl, &res)
+	if x.dump != nil {
+		sys.Trace().Dump(x.dump)
+	}
 	if err := sys.Trace().Flush(); err != nil {
 		return res, fmt.Errorf("bbb: flushing trace stream: %w", err)
+	}
+	if violation != nil {
+		return res, fmt.Errorf("invariant violation mid-run: %w", violation)
+	}
+	if x.audit {
+		if err := invariant.CheckSystem(sys); err != nil {
+			return res, fmt.Errorf("invariant violation after run: %w", err)
+		}
 	}
 	return res, nil
 }

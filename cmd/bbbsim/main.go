@@ -162,7 +162,7 @@ func main() {
 		)
 		switch {
 		case *check:
-			res, err = bbb.RunChecked(c.workload, c.scheme, o, 0)
+			res, err = bbb.RunChecked(c.workload, c.scheme, o)
 		case *traceOut != "":
 			var f *os.File
 			f, err = os.Create(*traceOut)

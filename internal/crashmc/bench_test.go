@@ -51,9 +51,9 @@ func BenchmarkCrashMCCheck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, img := range enum.Images {
-			applyOverlay(scratch, img.Overlay)
+			ApplyOverlay(scratch, img.Overlay)
 			_ = w.Check(scratch) // the verdicts are pinned by the golden tests; only the time counts here
-			revertOverlay(scratch, rec.Base, img.Overlay)
+			RevertOverlay(scratch, rec.Base, img.Overlay)
 		}
 		images += len(enum.Images)
 	}

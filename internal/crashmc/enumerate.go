@@ -95,7 +95,7 @@ func Enumerate(rec *Record, b Bounds) Enumeration {
 			return
 		}
 		enum.Sets++
-		img := materialize(rec, set)
+		img := Materialize(rec, set)
 		if !seen[img.Hash] {
 			seen[img.Hash] = true
 			enum.Images = append(enum.Images, img)
@@ -313,10 +313,10 @@ func epochSubsets(rec *Record, idx []int, b Bounds) [][]int {
 	return out
 }
 
-// materialize resolves a survival set into its canonical image: survivors
+// Materialize resolves a survival set into its canonical image: survivors
 // apply in capture (Seq) order, lines whose final bytes equal the base
 // image drop out, and the rest hash in address order.
-func materialize(rec *Record, survivors []int) Image {
+func Materialize(rec *Record, survivors []int) Image {
 	img := Image{Survivors: survivors}
 	var lines []LineWrite
 	for _, i := range survivors { // ascending index == ascending Seq

@@ -232,7 +232,7 @@ func TestMinimizeShrinksToSingleCulprit(t *testing.T) {
 		}
 		return ""
 	}
-	min, errStr := minimize(rec, []int{0, 1, 2}, check)
+	min, errStr := Minimize(rec, []int{0, 1, 2}, check)
 	if len(min) != 1 || min[0] != 2 {
 		t.Fatalf("minimize = %v, want [2]", min)
 	}
@@ -256,7 +256,7 @@ func TestMinimizeKeepsEpochClosure(t *testing.T) {
 		}
 		return ""
 	}
-	min, _ := minimize(rec, []int{0, 1}, check)
+	min, _ := Minimize(rec, []int{0, 1}, check)
 	if len(min) != 2 {
 		t.Fatalf("minimize = %v, want both writes (closure)", min)
 	}
@@ -272,7 +272,7 @@ func TestMaterializeAppliesSeqOrderPerLine(t *testing.T) {
 		epochWrite(0, 0, 1, 0xAA),
 		{Addr: addr(0), Data: lineData(0xBB), Class: ClassEpoch, Core: 0, Epoch: 2, Seq: 1},
 	})
-	img := materialize(rec, []int{0, 1})
+	img := Materialize(rec, []int{0, 1})
 	if len(img.Overlay) != 1 {
 		t.Fatalf("one line expected, got %d", len(img.Overlay))
 	}

@@ -6,7 +6,6 @@ import (
 	"bbb/internal/engine"
 	"bbb/internal/memory"
 	"bbb/internal/persistency"
-	"bbb/internal/sweep"
 	"bbb/internal/system"
 	"bbb/internal/workload"
 )
@@ -29,10 +28,11 @@ type Config struct {
 	Parallel int
 	// Bounds prune the per-point enumeration.
 	Bounds Bounds
-	// MaxViolations caps the violations recorded per point (the counts
-	// stay exact). Zero means 4.
-	MaxViolations int
 }
+
+// maxViolations caps the violations recorded per point (the counts stay
+// exact).
+const maxViolations = 4
 
 // Violation is one reachable durable image the recovery checker rejects.
 type Violation struct {
@@ -95,29 +95,14 @@ func (c Config) Run() Report {
 		panic("crashmc: Points must be positive")
 	}
 	b := c.Bounds.withDefaults()
-	maxViol := c.MaxViolations
-	if maxViol <= 0 {
-		maxViol = 4
-	}
 	rep := Report{
 		Workload: c.Workload.Name(),
 		Scheme:   c.Scheme,
 		Barriers: !c.Params.NoBarriers,
 		Bounds:   b,
 	}
-	workers := c.Parallel
-	if workers > 1 {
-		if _, err := workload.ByName(c.Workload.Name()); err != nil {
-			workers = 1
-		}
-	}
-	rep.Points = sweep.Map(workers, c.Points, func(i int) PointResult {
-		w := c.Workload
-		if workers > 1 {
-			w, _ = workload.ByName(c.Workload.Name())
-		}
-		crashAt := c.FirstCrash + engine.Cycle(i)*c.Step
-		return checkPoint(w, c, b, maxViol, crashAt)
+	rep.Points = workload.SweepCrashPoints(c.Workload, c.Parallel, c.Points, c.FirstCrash, c.Step, func(w workload.Workload, crashAt engine.Cycle) PointResult {
+		return checkPoint(w, c, b, crashAt)
 	})
 	for _, p := range rep.Points {
 		rep.TotalSets += p.Sets
@@ -137,7 +122,7 @@ func (c Config) Run() Report {
 }
 
 // checkPoint explores one crash cycle: run, capture, enumerate, validate.
-func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, crashAt engine.Cycle) PointResult {
+func checkPoint(w workload.Workload, c Config, b Bounds, crashAt engine.Cycle) PointResult {
 	sys, finished := workload.BuildToCrash(w, c.Scheme, c.System, c.Params, crashAt)
 	rec := Capture(sys, crashAt, finished)
 	enum := Enumerate(rec, b)
@@ -156,44 +141,49 @@ func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, crashAt en
 	// One scratch image per point: apply an overlay, check, revert.
 	scratch := rec.Base.Clone()
 	checkSet := func(survivors []int) string {
-		img := materialize(rec, survivors)
-		applyOverlay(scratch, img.Overlay)
+		img := Materialize(rec, survivors)
+		ApplyOverlay(scratch, img.Overlay)
 		errStr := ""
 		if err := w.Check(scratch); err != nil {
 			errStr = err.Error()
 		}
-		revertOverlay(scratch, rec.Base, img.Overlay)
+		RevertOverlay(scratch, rec.Base, img.Overlay)
 		return errStr
 	}
 
 	for _, img := range enum.Images {
-		applyOverlay(scratch, img.Overlay)
+		ApplyOverlay(scratch, img.Overlay)
 		err := w.Check(scratch)
-		revertOverlay(scratch, rec.Base, img.Overlay)
+		RevertOverlay(scratch, rec.Base, img.Overlay)
 		if err == nil {
 			continue
 		}
 		res.ViolatingImages++
-		if len(res.Violations) >= maxViol {
+		if len(res.Violations) >= maxViolations {
 			continue
 		}
 		v := Violation{Hash: img.Hash, Survivors: img.Survivors, Err: err.Error()}
 		if len(res.Violations) == 0 {
-			v.Minimized, v.MinimizedErr = minimize(rec, img.Survivors, checkSet)
-			res.Witness = newWitness(c, crashAt, rec, v.Minimized, v.MinimizedErr)
+			v.Minimized, v.MinimizedErr = Minimize(rec, img.Survivors, checkSet)
+			res.Witness = NewWitness(c, crashAt, rec, v.Minimized, v.MinimizedErr)
 		}
 		res.Violations = append(res.Violations, v)
 	}
 	return res
 }
 
-func applyOverlay(m *memory.Memory, overlay []LineWrite) {
+// ApplyOverlay writes an image overlay into m. Validators other than Run's
+// recovery-checker pass (the litmus conformance driver in
+// internal/litmus/conform judges images against the axiomatic allowed set)
+// use it with Enumerate, Materialize, Minimize and NewWitness.
+func ApplyOverlay(m *memory.Memory, overlay []LineWrite) {
 	for i := range overlay {
 		m.WriteLine(overlay[i].Addr, &overlay[i].Data)
 	}
 }
 
-func revertOverlay(m, base *memory.Memory, overlay []LineWrite) {
+// RevertOverlay restores m's overlaid lines from base.
+func RevertOverlay(m, base *memory.Memory, overlay []LineWrite) {
 	var line [memory.LineSize]byte
 	for i := range overlay {
 		base.PeekLine(overlay[i].Addr, &line)
@@ -201,12 +191,12 @@ func revertOverlay(m, base *memory.Memory, overlay []LineWrite) {
 	}
 }
 
-// minimize greedily shrinks a violating survival set: survivors drop
+// Minimize greedily shrinks a violating survival set: survivors drop
 // youngest-first while the set stays legal (epoch-downward closed) and
-// the checker still rejects the image, iterating to a fixpoint. The
-// result is a minimal witness in the sense that no single remaining
-// survivor can be dropped.
-func minimize(rec *Record, survivors []int, check func([]int) string) ([]int, string) {
+// check (which returns the complaint, "" for an acceptable image) still
+// rejects the image, iterating to a fixpoint. The result is a minimal
+// witness in the sense that no single remaining survivor can be dropped.
+func Minimize(rec *Record, survivors []int, check func([]int) string) ([]int, string) {
 	cur := append([]int(nil), survivors...)
 	errStr := check(cur)
 	if errStr == "" {

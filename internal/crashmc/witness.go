@@ -58,8 +58,8 @@ type WitnessWrite struct {
 	Epoch uint64      `json:"epoch,omitempty"`
 }
 
-// newWitness pins a minimized violation for replay.
-func newWitness(c Config, crashAt engine.Cycle, rec *Record, survivors []int, errStr string) *Witness {
+// NewWitness pins a minimized violation of campaign c for replay.
+func NewWitness(c Config, crashAt engine.Cycle, rec *Record, survivors []int, errStr string) *Witness {
 	w := &Witness{
 		SchemaVersion:  WitnessSchemaVersion,
 		Workload:       c.Workload.Name(),
@@ -177,9 +177,9 @@ func Replay(w *Witness) (ReplayOutcome, error) {
 		}
 		return out, err
 	}
-	img := materialize(rec, survivors)
+	img := Materialize(rec, survivors)
 	scratch := rec.Base.Clone()
-	applyOverlay(scratch, img.Overlay)
+	ApplyOverlay(scratch, img.Overlay)
 	out := ReplayOutcome{Pending: len(rec.Pending)}
 	if cerr := wl.Check(scratch); cerr != nil {
 		out.Err = cerr.Error()

@@ -15,7 +15,6 @@ import (
 
 	"bbb/internal/engine"
 	"bbb/internal/persistency"
-	"bbb/internal/sweep"
 	"bbb/internal/system"
 	"bbb/internal/workload"
 )
@@ -69,21 +68,7 @@ func (c CampaignConfig) Run() Report {
 		Workload: c.Workload.Name(),
 		Barriers: !c.Params.NoBarriers,
 	}
-	// Setup and Programs mutate workload-instance state, so concurrent
-	// points each resolve a private instance by name. A workload outside
-	// the registry cannot be re-resolved and forces a serial sweep.
-	workers := c.Parallel
-	if workers > 1 {
-		if _, err := workload.ByName(c.Workload.Name()); err != nil {
-			workers = 1
-		}
-	}
-	rep.Outcomes = sweep.Map(workers, c.Points, func(i int) Outcome {
-		w := c.Workload
-		if workers > 1 {
-			w, _ = workload.ByName(c.Workload.Name())
-		}
-		crashAt := c.FirstCrash + engine.Cycle(i)*c.Step
+	rep.Outcomes = workload.SweepCrashPoints(c.Workload, c.Parallel, c.Points, c.FirstCrash, c.Step, func(w workload.Workload, crashAt engine.Cycle) Outcome {
 		sys, drain, finished := workload.RunToCrash(w, c.Scheme, c.System, c.Params, crashAt)
 		out := Outcome{CrashCycle: crashAt, Finished: finished, Drain: drain}
 		if err := w.Check(sys.Mem); err != nil {

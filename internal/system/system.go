@@ -33,11 +33,9 @@ type Config struct {
 	// TraceCapacity, when positive, retains the last N microarchitectural
 	// events for post-run inspection (System.Trace).
 	TraceCapacity int
-	// TraceFull retains the entire event stream (unbounded memory; meant
-	// for export and offline analysis). Overrides TraceCapacity.
-	TraceFull bool
-	// TraceSink, when non-nil, additionally streams every event into the
-	// given sink (e.g. a JSON-lines file) as the run executes.
+	// TraceSink, when non-nil, streams every event into the given sink
+	// (e.g. a JSON-lines file) as the run executes. On its own it turns
+	// tracing on without retaining anything in memory.
 	TraceSink trace.Sink
 	// AblateSBBattery removes the store buffer from the persistence domain
 	// even for schemes that battery-back it — the §III-C ablation showing
@@ -91,10 +89,11 @@ func NewOnImage(cfg Config, img *memory.Memory) *System {
 	cfg.Hierarchy.Cores = cfg.Cores
 	eng := engine.New()
 	var prov *trace.Provenance
-	if cfg.TraceFull {
-		eng.Trace = trace.NewFull()
-	} else if cfg.TraceCapacity > 0 {
+	switch {
+	case cfg.TraceCapacity > 0:
 		eng.Trace = trace.New(cfg.TraceCapacity)
+	case cfg.TraceSink != nil:
+		eng.Trace = new(trace.Recorder) // stream only: no ring
 	}
 	if eng.Trace != nil {
 		// Tracing brings the rest of the observability stack with it:
@@ -211,20 +210,11 @@ func (r Result) DurabilitySummary() string {
 // panic reaches the caller as a *cpu.ProgramPanic, with every other
 // program already stopped.
 func (s *System) Run(programs []Program) Result {
-	if len(programs) != s.Cfg.Cores {
-		panic(fmt.Sprintf("system: %d programs for %d cores", len(programs), s.Cfg.Cores))
-	}
-	defer s.shutdownOnPanic()
-	for i, p := range programs {
-		s.Cores[i].Start(p)
-	}
-	s.Eng.Run()
-	for i, c := range s.Cores {
-		if !c.Done() {
-			panic(fmt.Sprintf("system: core %d never finished (deadlock?)", i))
-		}
-	}
+	unfinished := s.drive(programs, s.Eng.Run)
 	s.Shutdown()
+	if unfinished >= 0 {
+		panic(fmt.Sprintf("system: core %d never finished (deadlock?)", unfinished))
+	}
 	// Flush the WPQ so every scheme's durable write count is measured at
 	// the same architectural point.
 	s.NVMM.CrashDrain()
@@ -235,21 +225,33 @@ func (s *System) Run(programs []Program) Result {
 // reports whether every program finished. Used by crash injection; the
 // unfinished programs stay suspended until Crash or Shutdown stops them.
 func (s *System) RunUntil(limit engine.Cycle, programs []Program) bool {
+	return s.drive(programs, func() { s.Eng.RunUntil(limit) }) < 0
+}
+
+// drive starts one program per core, advances the engine with run, and
+// returns the first core whose program has not finished, or -1. A panic
+// unwinding through the engine stops every program, so the other cores'
+// suspended coroutines do not leak, and is then re-raised.
+func (s *System) drive(programs []Program, run func()) int {
 	if len(programs) != s.Cfg.Cores {
 		panic(fmt.Sprintf("system: %d programs for %d cores", len(programs), s.Cfg.Cores))
 	}
-	defer s.shutdownOnPanic()
+	defer func() {
+		if r := recover(); r != nil {
+			s.Shutdown()
+			panic(r)
+		}
+	}()
 	for i, p := range programs {
 		s.Cores[i].Start(p)
 	}
-	s.Eng.RunUntil(limit)
-	done := true
-	for _, c := range s.Cores {
+	run()
+	for i, c := range s.Cores {
 		if !c.Done() {
-			done = false
+			return i
 		}
 	}
-	return done
+	return -1
 }
 
 // Crash stops the machine and performs the scheme's flush-on-fail drain,
@@ -263,16 +265,6 @@ func (s *System) Crash() persistency.DrainReport {
 func (s *System) Shutdown() {
 	for _, c := range s.Cores {
 		c.Stop()
-	}
-}
-
-// shutdownOnPanic stops every program when a panic unwinds through the
-// engine, so the other cores' suspended coroutines do not leak, and then
-// re-raises the panic. Deferred by Run and RunUntil.
-func (s *System) shutdownOnPanic() {
-	if r := recover(); r != nil {
-		s.Shutdown()
-		panic(r)
 	}
 }
 

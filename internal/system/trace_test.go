@@ -1,6 +1,7 @@
 package system
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -51,6 +52,33 @@ func TestTracingOffByDefault(t *testing.T) {
 	sys.Run(counterPrograms(sys, 50))
 	if sys.Trace() != nil {
 		t.Fatal("tracing should be off by default")
+	}
+}
+
+// A TraceSink on its own turns tracing on: every event streams to the
+// sink, metrics and provenance come with it, and nothing is retained in
+// memory — the shape long streamed runs rely on.
+func TestTraceSinkAloneStreamsWithoutRetaining(t *testing.T) {
+	cfg := smallConfig(persistency.BBB)
+	var buf bytes.Buffer
+	cfg.TraceSink = trace.NewJSONL(&buf)
+	sys := New(cfg)
+	res := sys.Run(mixedPrograms(sys, 50, 30))
+	rec := sys.Trace()
+	if rec == nil {
+		t.Fatal("a TraceSink alone left tracing off")
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if lines := uint64(bytes.Count(buf.Bytes(), []byte("\n"))); rec.Emitted == 0 || lines != rec.Emitted {
+		t.Fatalf("sink got %d lines, recorder emitted %d", lines, rec.Emitted)
+	}
+	if res.Metrics == nil {
+		t.Fatal("streamed run left Metrics nil")
+	}
+	if rec.Len() != 0 || rec.Events() != nil {
+		t.Fatalf("stream-only recorder retained %d events", rec.Len())
 	}
 }
 

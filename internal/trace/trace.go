@@ -3,10 +3,10 @@
 // microarchitectural event (persisting-store commits, bbPB
 // allocations/coalesces/drains/migrations, coherence invalidations, WPQ
 // traffic, epoch marks, crash drains). Records flow through a Recorder
-// into pluggable sinks — a bounded ring for tail debugging, a full
-// in-memory buffer for analysis, or a JSON-lines stream for offline
-// tooling — and can be exported as a Perfetto/Chrome trace or fed to the
-// durability-provenance tracker. Everything is cycle-stamped: no wall
+// into an optional bounded ring for tail debugging and any attached
+// streaming sinks — a JSON-lines stream for offline tooling, the
+// durability-provenance tracker — and can be exported as a
+// Perfetto/Chrome trace. Everything is cycle-stamped: no wall
 // clock anywhere, so traces of the same seed are byte-identical.
 package trace
 
@@ -114,36 +114,28 @@ type Event struct {
 // otherwise alias down to a small id and corrupt every per-core view).
 const MaxCore = math.MaxInt16
 
-// Recorder is the tracing front-end. Every Emit lands in the retention
-// sink (ring or full buffer, queryable afterwards) and is forwarded to
-// any attached streaming sinks. A nil *Recorder is a valid, disabled
-// recorder: Emit on nil is an allocation-free no-op, so components hold
-// one unconditionally.
+// Recorder is the tracing front-end. Every Emit lands in the optional
+// ring (the queryable tail) and is forwarded to any attached streaming
+// sinks. The zero Recorder keeps no ring: it only streams, so a long
+// traced run costs no memory beyond what its sinks hold. A nil *Recorder
+// is a valid, disabled recorder: Emit on nil is an allocation-free no-op,
+// so components hold one unconditionally.
 type Recorder struct {
-	retain RetentionSink
-	sinks  []Sink
-	// Emitted counts all events ever emitted, including ones a ring
-	// retention sink has overwritten.
+	ring  *RingSink
+	sinks []Sink
+	// Emitted counts all events ever emitted, including ones the ring has
+	// overwritten or never kept.
 	Emitted uint64
 }
 
-// New returns a recorder whose retention sink keeps the last capacity
-// events (a ring — the cheap tail-debugging default).
+// New returns a recorder whose ring keeps the last capacity events (the
+// cheap tail-debugging default).
 func New(capacity int) *Recorder {
-	if capacity <= 0 {
-		panic("trace: capacity must be positive")
-	}
-	return &Recorder{retain: NewRing(capacity)}
-}
-
-// NewFull returns a recorder that retains the entire event stream
-// in memory, for analysis and export.
-func NewFull() *Recorder {
-	return &Recorder{retain: &BufferSink{}}
+	return &Recorder{ring: NewRing(capacity)}
 }
 
 // Attach adds a streaming sink that receives every subsequent event
-// (in addition to the retention sink). Safe on a nil recorder (no-op).
+// (in addition to the ring). Safe on a nil recorder (no-op).
 func (r *Recorder) Attach(s Sink) {
 	if r == nil {
 		return
@@ -162,20 +154,22 @@ func (r *Recorder) Emit(cycle uint64, kind Kind, core int, addr, aux uint64) {
 		panic(fmt.Sprintf("trace: core %d outside [-1, %d]", core, MaxCore))
 	}
 	e := Event{Cycle: cycle, Kind: kind, Core: int16(core), Addr: addr, Aux: aux}
-	r.retain.Write(e)
+	if r.ring != nil {
+		r.ring.Write(e)
+	}
 	for _, s := range r.sinks {
 		s.Write(e)
 	}
 	r.Emitted++
 }
 
-// Flush flushes the retention sink and every attached sink, returning
-// the first error. Safe on a nil recorder.
+// Flush flushes every attached sink, returning the first error. Safe on
+// a nil recorder.
 func (r *Recorder) Flush() error {
 	if r == nil {
 		return nil
 	}
-	err := r.retain.Flush()
+	var err error
 	for _, s := range r.sinks {
 		if e := s.Flush(); err == nil {
 			err = e
@@ -184,20 +178,20 @@ func (r *Recorder) Flush() error {
 	return err
 }
 
-// Len reports how many events are currently retained.
+// Len reports how many events the ring currently retains.
 func (r *Recorder) Len() int {
-	if r == nil {
+	if r == nil || r.ring == nil {
 		return 0
 	}
-	return r.retain.Len()
+	return r.ring.Len()
 }
 
-// Events returns the retained events, oldest first.
+// Events returns the ring's retained events, oldest first.
 func (r *Recorder) Events() []Event {
-	if r == nil {
+	if r == nil || r.ring == nil {
 		return nil
 	}
-	return r.retain.Events()
+	return r.ring.Events()
 }
 
 // Dump writes the retained events, one per line, oldest first.

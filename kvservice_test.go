@@ -77,6 +77,25 @@ func TestKVServiceStreamingCarriesServiceMetrics(t *testing.T) {
 	}
 }
 
+// TestKVServiceCrashTraceCarriesServiceMetrics pins that CrashTraced folds
+// service metrics like every other run path: a kv run crashed halfway
+// through still reports the latencies of the requests that completed.
+func TestKVServiceCrashTraceCarriesServiceMetrics(t *testing.T) {
+	o := Options{Clients: 2, OpsPerThread: 60, Seed: 1}
+	plain := MustRun("kv", SchemeBBB, o)
+	crashed, err := CrashTraced("kv", SchemeBBB, o, plain.Cycles/2, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crashed.Metrics == nil || crashed.Metrics.Hist("kv.lat") == nil {
+		t.Fatal("crash trace missing kv.lat histogram")
+	}
+	got, all := crashed.Metrics.Hist("kv.lat").Count(), plain.Metrics.Hist("kv.lat").Count()
+	if got == 0 || got >= all {
+		t.Fatalf("kv.lat holds %d samples at a mid-run crash, want some but fewer than the full run's %d", got, all)
+	}
+}
+
 // TestKVServiceSweepWidthDeterministic pins that the service tier is a
 // pure function of its parameters under parallel fan-out: the same
 // (workload, scheme) matrix run serially and at width 4 must produce

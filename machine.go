@@ -33,13 +33,20 @@ type Machine struct {
 
 // NewMachine builds a machine running scheme s.
 func NewMachine(s Scheme, o Options) *Machine {
+	cfg := o.machineConfig(s)
+	sys := system.New(cfg)
+	return &Machine{sys: sys, arena: palloc.FromLayout(cfg.Layout)}
+}
+
+// machineConfig is the system configuration of a custom-program machine:
+// sysConfig with Options.Threads, when set, as the core count.
+func (o Options) machineConfig(s Scheme) system.Config {
 	cfg := o.sysConfig(s)
 	if o.Threads > 0 {
 		cfg.Cores = o.Threads
 		cfg.Hierarchy.Cores = o.Threads
 	}
-	sys := system.New(cfg)
-	return &Machine{sys: sys, arena: palloc.FromLayout(cfg.Layout)}
+	return cfg
 }
 
 // Recover reboots after a crash: it returns a fresh machine (cold caches,
@@ -48,12 +55,7 @@ func NewMachine(s Scheme, o Options) *Machine {
 // persistent-heap allocator carries over so new allocations never collide
 // with recovered data. Call after RunUntilCrash.
 func (m *Machine) Recover(s Scheme, o Options) *Machine {
-	cfg := o.sysConfig(s)
-	if o.Threads > 0 {
-		cfg.Cores = o.Threads
-		cfg.Hierarchy.Cores = o.Threads
-	}
-	sys := system.NewOnImage(cfg, m.sys.Mem)
+	sys := system.NewOnImage(o.machineConfig(s), m.sys.Mem)
 	return &Machine{sys: sys, arena: m.arena}
 }
 
@@ -82,14 +84,7 @@ func (m *Machine) Peek64(a Addr) uint64 { return m.sys.Mem.Peek64(a) }
 // RunPrograms runs one program per core to completion and returns the
 // run's metrics. The machine is single-shot: build a new one per run.
 func (m *Machine) RunPrograms(programs ...func(Env)) Result {
-	if len(programs) != m.sys.Cfg.Cores {
-		panic(fmt.Sprintf("bbb: %d programs for %d cores (set Options.Threads)", len(programs), m.sys.Cfg.Cores))
-	}
-	progs := make([]system.Program, len(programs))
-	for i, p := range programs {
-		progs[i] = system.Program(p)
-	}
-	return m.sys.Run(progs)
+	return m.sys.Run(m.programs(programs))
 }
 
 // RunUntilCrash runs the programs until crashCycle, then performs the
@@ -97,6 +92,14 @@ func (m *Machine) RunPrograms(programs ...func(Env)) Result {
 // recovery would find it. It reports whether the programs finished first
 // and what the battery had to drain.
 func (m *Machine) RunUntilCrash(crashCycle Cycle, programs ...func(Env)) (finished bool, drained persistency.DrainReport) {
+	finished = m.sys.RunUntil(crashCycle, m.programs(programs))
+	drained = m.sys.Crash()
+	return finished, drained
+}
+
+// programs converts one program per core to the system's type, panicking
+// on a count mismatch with a hint at the option that sets the core count.
+func (m *Machine) programs(programs []func(Env)) []system.Program {
 	if len(programs) != m.sys.Cfg.Cores {
 		panic(fmt.Sprintf("bbb: %d programs for %d cores (set Options.Threads)", len(programs), m.sys.Cfg.Cores))
 	}
@@ -104,9 +107,7 @@ func (m *Machine) RunUntilCrash(crashCycle Cycle, programs ...func(Env)) (finish
 	for i, p := range programs {
 		progs[i] = system.Program(p)
 	}
-	finished = m.sys.RunUntil(crashCycle, progs)
-	drained = m.sys.Crash()
-	return finished, drained
+	return progs
 }
 
 // DrainReport is re-exported for RunUntilCrash callers.
