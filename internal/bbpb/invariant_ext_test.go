@@ -1,5 +1,3 @@
-//go:build invariant
-
 // Step-wise bookkeeping audit of both persist-buffer organizations:
 // standalone buffers (no hierarchy) are driven through fill, coalesce,
 // threshold drain, forced drain, and migration-style removal, with

@@ -1,10 +1,9 @@
-//go:build invariant
-
 // Step-wise invariant auditing: a BBB machine is driven one memory
 // operation at a time and invariant.CheckSystem runs after every engine
 // event, so the exact step that corrupts coherence or dirty inclusion is
-// the step that fails. Build-tagged because checking after every event is
-// orders of magnitude slower than the Attach ticker.
+// the step that fails. The address streams are small enough that checking
+// after every event costs milliseconds, so the harness runs in every
+// `go test`.
 package coherence_test
 
 import (

@@ -25,13 +25,10 @@
 //     with its youngest entry (§III-B), so a repeat of an older block
 //     legitimately re-allocates.
 //
-// The checks are read-only and need no build tag themselves; the Enabled
-// constant (set by the `invariant` build tag, see enabled_on.go) lets test
-// harnesses and bbbsim gate per-step checking so the default build pays
-// nothing. One caveat: a clwb-style instruction cleans cached copies
-// without touching buffers, so the dirty-copy check assumes the BBB
-// schemes' implicit-persist model (no clwb traffic), which is how every
-// BBB configuration in this repository runs.
+// The checks are read-only. One caveat: a clwb-style instruction cleans
+// cached copies without touching buffers, so the dirty-copy check assumes
+// the BBB schemes' implicit-persist model (no clwb traffic), which is how
+// every BBB configuration in this repository runs.
 package invariant
 
 import (
@@ -146,8 +143,8 @@ func CheckSystem(s *system.System) error {
 // Attach arms a periodic audit on the machine's engine: every period
 // cycles, CheckSystem runs and its first violation is handed to report
 // (which may panic, t.Fatal, or log). The ticker stops after a violation
-// or once stop returns true. bbbsim's -check flag and the -tags invariant
-// test harnesses use this to audit whole runs.
+// or once stop returns true. bbb.RunChecked (bbbsim -check) uses this to
+// audit whole runs.
 func Attach(s *system.System, period engine.Cycle, stop func() bool, report func(error)) {
 	s.Eng.Ticker(period, func() bool {
 		if err := CheckSystem(s); err != nil {

@@ -9,6 +9,8 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
@@ -27,75 +29,107 @@ type Package struct {
 type listedPackage struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	GoFiles    []string
+	Export     string
 	Standard   bool
+	DepOnly    bool
 }
 
-// Load enumerates the packages matching patterns with the go command,
-// parses their non-test sources (comments included, so directive comments
-// are visible to analyzers), and type-checks each against a shared
-// source-level importer. The importer resolves both standard-library and
-// module-internal dependencies from source, so loading is fully hermetic:
-// no network, no export data, no x/tools.
+// Load enumerates the packages matching patterns and their dependencies
+// with `go list -deps -export`, which lists every package after the ones
+// it imports. Walking that list once, it parses the non-test sources of
+// each module package (comments included, so directive comments are
+// visible to analyzers) and type-checks it exactly once; standard-library
+// imports are read from the export data the local toolchain builds, so
+// loading needs no network. Only the packages matching patterns are
+// returned, and a module package they import is the one returned for it.
 //
 // dir is the directory to run `go list` in ("" for the current one).
 func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
-	metas, err := goList(dir, patterns)
-	if err != nil {
-		return nil, nil, err
-	}
-	fset := token.NewFileSet()
-	// The source importer type-checks each dependency once and caches it;
-	// sharing one instance (and one FileSet) across every analyzed package
-	// keeps positions coherent and avoids re-checking shared deps.
-	deps := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-
-	var pkgs []*Package
-	for _, m := range metas {
-		if m.Standard || len(m.GoFiles) == 0 {
-			continue
-		}
-		pkg, err := checkPackage(fset, deps, m.Dir, m.ImportPath, m.GoFiles)
-		if err != nil {
-			return nil, nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
-	return pkgs, fset, nil
+	return load(dir, patterns, "")
 }
 
-// LoadDir parses and type-checks the .go files directly inside dir as a
-// single package, with imports (including module-internal ones) resolved
-// from source. Fixture tests use it to load testdata packages that are not
-// part of the module proper.
+// LoadDir loads the package in dir, which may sit under a testdata
+// directory, through the same path as Load, but type-checks it as
+// "fixture/<base of dir>". Fixture tests use it for testdata packages that
+// are not part of the module proper.
 func LoadDir(dir string) (*Package, *token.FileSet, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	files, err := filepath.Glob(filepath.Join(abs, "*.go"))
+	pkgs, fset, err := load(abs, []string{abs}, "fixture/"+filepath.Base(abs))
+	if err == nil && len(pkgs) != 1 {
+		err = fmt.Errorf("vet: no Go package in %s", abs)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(files) == 0 {
-		return nil, nil, fmt.Errorf("vet: no .go files in %s", abs)
-	}
-	names := make([]string, len(files))
-	for i, f := range files {
-		names[i] = filepath.Base(f)
-	}
-	fset := token.NewFileSet()
-	deps := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	pkg, err := checkPackage(fset, deps, abs, "fixture/"+filepath.Base(abs), names)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pkg, fset, nil
+	return pkgs[0], fset, nil
 }
 
-func checkPackage(fset *token.FileSet, deps types.ImporterFrom, dir, importPath string, fileNames []string) (*Package, error) {
+// load is Load, with the matched packages type-checked under rootPath
+// when it is non-empty.
+func load(dir string, patterns []string, rootPath string) ([]*Package, *token.FileSet, error) {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export", "-json"}, patterns...)...)
+	cmd.Dir = dir
+	var out, errb bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &errb
+	if err := cmd.Run(); err != nil {
+		return nil, nil, fmt.Errorf("vet: go list %v: %v\n%s", patterns, err, errb.String())
+	}
+
+	fset := token.NewFileSet()
+	// Module packages resolve to the ones this load has already checked,
+	// every other (standard-library) import to its export data.
+	checked := make(map[string]*types.Package)
+	exports := make(map[string]string)
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if f := exports[path]; f != "" {
+			return os.Open(f)
+		}
+		return nil, fmt.Errorf("vet: no export data for %q", path)
+	})
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return gc.Import(path)
+	})
+
+	var pkgs []*Package
+	for dec := json.NewDecoder(&out); dec.More(); {
+		var m listedPackage
+		if err := dec.Decode(&m); err != nil {
+			return nil, nil, fmt.Errorf("vet: decode go list output: %w", err)
+		}
+		exports[m.ImportPath] = m.Export
+		if m.Standard || len(m.GoFiles) == 0 {
+			continue
+		}
+		path := m.ImportPath
+		if rootPath != "" && !m.DepOnly {
+			path = rootPath
+		}
+		pkg, err := checkPackage(fset, imp, m.Dir, path, m.GoFiles)
+		if err != nil {
+			return nil, nil, err
+		}
+		checked[m.ImportPath] = pkg.Types
+		if !m.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
+	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
+	return pkgs, fset, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+func checkPackage(fset *token.FileSet, imp types.Importer, dir, importPath string, fileNames []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range fileNames {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -111,9 +145,7 @@ func checkPackage(fset *token.FileSet, deps types.ImporterFrom, dir, importPath 
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{
-		Importer: importerFrom{deps, dir},
-	}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("vet: type-check %s: %w", importPath, err)
@@ -125,37 +157,4 @@ func checkPackage(fset *token.FileSet, deps types.ImporterFrom, dir, importPath 
 		Types:      tpkg,
 		Info:       info,
 	}, nil
-}
-
-// importerFrom adapts an ImporterFrom into a plain Importer anchored at a
-// directory, so relative (module-internal) import resolution works.
-type importerFrom struct {
-	from types.ImporterFrom
-	dir  string
-}
-
-func (i importerFrom) Import(path string) (*types.Package, error) {
-	return i.from.ImportFrom(path, i.dir, 0)
-}
-
-func goList(dir string, patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var out, errb bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errb
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("vet: go list %v: %v\n%s", patterns, err, errb.String())
-	}
-	var metas []listedPackage
-	dec := json.NewDecoder(&out)
-	for dec.More() {
-		var m listedPackage
-		if err := dec.Decode(&m); err != nil {
-			return nil, fmt.Errorf("vet: decode go list output: %w", err)
-		}
-		metas = append(metas, m)
-	}
-	return metas, nil
 }

@@ -1,8 +1,10 @@
 // Package vet is a small, dependency-free analysis framework modelled on
 // golang.org/x/tools/go/analysis, built only on the standard library's
 // go/ast, go/parser and go/types. It exists because this repository's
-// correctness tooling (cmd/bbbvet) must run hermetically — no module
-// downloads — and the x/tools module is not vendored.
+// correctness tooling (cmd/bbbvet) must run without module downloads and
+// the x/tools module is not vendored. Loading needs no network either: it
+// reads the standard library from the export data the local toolchain
+// builds (see Load).
 //
 // The API mirrors the shape of go/analysis so the custom passes
 // (locklint, detlint, statlint, cyclelint) could be ported to the real

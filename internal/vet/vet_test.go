@@ -1,6 +1,7 @@
 package vet_test
 
 import (
+	"go/types"
 	"strings"
 	"testing"
 
@@ -147,8 +148,8 @@ func TestObsZeroSuppressions(t *testing.T) {
 	}
 }
 
-// TestLoadModulePackages smoke-tests the hermetic loader against the real
-// module: the engine package must load, type-check, and expose its types.
+// TestLoadModulePackages smoke-tests the loader against the real module:
+// the engine package must load, type-check, and expose its types.
 func TestLoadModulePackages(t *testing.T) {
 	pkgs, _, err := vet.Load("", "bbb/internal/engine")
 	if err != nil {
@@ -160,5 +161,40 @@ func TestLoadModulePackages(t *testing.T) {
 	p := pkgs[0]
 	if p.ImportPath != "bbb/internal/engine" || p.Types == nil || p.Types.Scope().Lookup("Engine") == nil {
 		t.Fatalf("engine package loaded incompletely: %+v", p.ImportPath)
+	}
+}
+
+// TestLoadTypeChecksEachPackageOnce pins the loader's one-check-per-package
+// rule: the engine package that system imports is the very *types.Package
+// Load returns for engine, not a second copy checked for the importer. It
+// also checks that LoadDir on a directory with no Go package is an error.
+func TestLoadTypeChecksEachPackageOnce(t *testing.T) {
+	pkgs, _, err := vet.Load("", "bbb/internal/engine", "bbb/internal/system")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPath := map[string]*vet.Package{}
+	for _, p := range pkgs {
+		byPath[p.ImportPath] = p
+	}
+	engine, system := byPath["bbb/internal/engine"], byPath["bbb/internal/system"]
+	if len(pkgs) != 2 || engine == nil || system == nil {
+		t.Fatalf("got %d packages %v, want engine and system", len(pkgs), byPath)
+	}
+	var imported *types.Package
+	for _, imp := range system.Types.Imports() {
+		if imp.Path() == "bbb/internal/engine" {
+			imported = imp
+		}
+	}
+	if imported == nil {
+		t.Fatal("system does not import bbb/internal/engine")
+	}
+	if imported != engine.Types {
+		t.Fatal("system imports a different *types.Package for bbb/internal/engine than Load returned")
+	}
+
+	if _, _, err := vet.LoadDir(t.TempDir()); err == nil {
+		t.Fatal("LoadDir on an empty directory: want an error")
 	}
 }
