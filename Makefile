@@ -86,9 +86,12 @@ fuzz-short:
 
 # Crash-image model checking at short bounds: the bbbmc acceptance matrix
 # (battery schemes single-image, PMEM Figures 2/3 over the whole reachable
-# space) exits non-zero on any expectation failure.
+# space) exits non-zero on any expectation failure. bbbcrash's default
+# matrix (the same checker at one image per crash point) exits non-zero
+# when a consistency-guaranteeing scheme shows an inconsistent image.
 mc-short:
 	$(GO) run ./cmd/bbbmc -points 4
+	$(GO) run ./cmd/bbbcrash -quiet
 
 # Pressure-bound soundness gate: replay every Table IV workload × scheme
 # pair and check the observed buffer occupancy, runtime invariants and

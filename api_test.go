@@ -1,6 +1,7 @@
 package bbb
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -177,11 +178,92 @@ func TestCrashCampaignAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Inconsistent != 0 {
+	if rep.TotalViolating != 0 {
 		t.Fatalf("BBB campaign inconsistent: %s", rep.String())
 	}
-	if len(rep.Outcomes) != 5 {
-		t.Fatalf("outcomes = %d", len(rep.Outcomes))
+	if len(rep.Points) != 5 {
+		t.Fatalf("points = %d", len(rep.Points))
+	}
+}
+
+func TestCrashPointsMustBePositive(t *testing.T) {
+	// A bad point count is a caller error, not a panic: bbbcrash and bbbmc
+	// report it and exit non-zero.
+	for _, points := range []int{0, -1} {
+		if _, err := CrashCampaign("linkedlist", SchemeBBB, scaled(10), points, 5_000, 10_000); err == nil {
+			t.Errorf("CrashCampaign(points=%d) returned no error", points)
+		}
+		if _, err := ModelCheck("linkedlist", SchemeBBB, scaled(10), points, 5_000, 10_000, MCBounds{}); err == nil {
+			t.Errorf("ModelCheck(points=%d) returned no error", points)
+		}
+	}
+}
+
+func TestGuaranteesConsistency(t *testing.T) {
+	cases := []struct {
+		scheme   Scheme
+		barriers bool
+		want     bool
+	}{
+		{SchemePMEM, true, true},
+		{SchemePMEM, false, false}, // Figure 2
+		{SchemeBEP, true, true},
+		{SchemeBEP, false, false},
+		{SchemeEADR, false, true},
+		{SchemeBBB, false, true},
+		{SchemeBBBProc, false, true},
+		{SchemeNVCache, false, true},
+	}
+	for _, tc := range cases {
+		if got := GuaranteesConsistency(tc.scheme, tc.barriers); got != tc.want {
+			t.Errorf("GuaranteesConsistency(%v, barriers=%v) = %v, want %v",
+				tc.scheme, tc.barriers, got, tc.want)
+		}
+	}
+}
+
+func TestCrashMatrixPinned(t *testing.T) {
+	// bbbcrash's default matrix (linked list, its 8 scheme/barrier cells,
+	// L1 1 KB / L2 4 KB, 4 threads × 400 ops, crashes from cycle 5000 every
+	// 10000) at 8 points: the figures `bbbcrash -points 8` prints. Any
+	// drift here changes bbbcrash's report.
+	const dangling = "linkedlist[0]: reachable node 0x200000140 has magic 0x0 (dangling publish — the Figure 2 bug)"
+	cells := []struct {
+		scheme       Scheme
+		noBarriers   bool
+		inconsistent int
+		drainedMax   int
+		firstErr     string // "" when every point recovered
+	}{
+		{SchemePMEM, false, 0, 24, ""},
+		{SchemePMEM, true, 8, 24, dangling},
+		{SchemeEADR, true, 0, 138, ""},
+		{SchemeBBB, true, 0, 136, ""},
+		{SchemeBBBProc, true, 0, 134, ""},
+		{SchemeBEP, false, 0, 24, ""},
+		{SchemeBEP, true, 8, 24, dangling},
+		{SchemeNVCache, true, 0, 137, ""},
+	}
+	for _, c := range cells {
+		o := Options{Threads: 4, OpsPerThread: 400, NoBarriers: c.noBarriers, L1Size: 1024, L2Size: 4096}
+		rep, err := CrashCampaign("linkedlist", c.scheme, o, 8, 5_000, 10_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%v/noBarriers=%v", c.scheme, c.noBarriers)
+		if rep.TotalViolating != c.inconsistent || rep.DrainedLinesMax != c.drainedMax {
+			t.Errorf("%s: inconsistent %d, max drained %d; want %d, %d",
+				name, rep.TotalViolating, rep.DrainedLinesMax, c.inconsistent, c.drainedMax)
+		}
+		w := rep.FirstWitness()
+		switch {
+		case c.firstErr == "" && w != nil:
+			t.Errorf("%s: unexpected failure @%d: %s", name, w.CrashCycle, w.Err)
+		case c.firstErr != "" && w == nil:
+			t.Errorf("%s: no failing point, want first failure @5000", name)
+		case c.firstErr != "" && (w.CrashCycle != 5_000 || w.Err != c.firstErr):
+			t.Errorf("%s: first failure @%d: %s; want @5000: %s", name, w.CrashCycle, w.Err, c.firstErr)
+		}
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"bbb/internal/engine"
 	"bbb/internal/invariant"
 	"bbb/internal/persistency"
-	"bbb/internal/recovery"
 	"bbb/internal/system"
 	"bbb/internal/trace"
 	"bbb/internal/workload"
@@ -308,26 +307,6 @@ func execute(workloadName string, s Scheme, o Options, x runSpec) (Result, error
 	return res, nil
 }
 
-// CrashCampaign sweeps crash points over a workload run and checks the
-// durable image at each; see the recovery package for details.
-func CrashCampaign(workloadName string, s Scheme, o Options, points int, first, step engine.Cycle) (recovery.Report, error) {
-	w, err := workload.ByName(workloadName)
-	if err != nil {
-		return recovery.Report{}, err
-	}
-	cc := recovery.CampaignConfig{
-		Workload:   w,
-		Scheme:     s,
-		System:     o.sysConfig(s),
-		Params:     o.params(),
-		FirstCrash: first,
-		Step:       step,
-		Points:     points,
-		Parallel:   o.workers(),
-	}
-	return cc.Run(), nil
-}
-
 // MCBounds prune a model-checking campaign's per-point enumeration; the
 // zero value uses the crashmc defaults.
 type MCBounds = crashmc.Bounds
@@ -339,11 +318,13 @@ type MCReport = crashmc.Report
 type MCWitness = crashmc.Witness
 
 // ModelCheck explores every reachable durable image at a sweep of crash
-// points: where CrashCampaign validates the one deterministic flush-on-
-// fail image per crash, ModelCheck enumerates the scheme's full legal
-// survival-set space (within b) and checks recovery against each image.
-// See internal/crashmc and docs/ARCHITECTURE.md §10.
+// points: it enumerates the scheme's legal survival-set space (within b)
+// and checks recovery against each image. See internal/crashmc and
+// docs/ARCHITECTURE.md §10.
 func ModelCheck(workloadName string, s Scheme, o Options, points int, first, step engine.Cycle, b MCBounds) (MCReport, error) {
+	if points <= 0 {
+		return MCReport{}, fmt.Errorf("bbb: crash points must be positive, got %d", points)
+	}
 	w, err := workload.ByName(workloadName)
 	if err != nil {
 		return MCReport{}, err
@@ -362,6 +343,15 @@ func ModelCheck(workloadName string, s Scheme, o Options, points int, first, ste
 	return mc.Run(), nil
 }
 
+// CrashCampaign is crash injection: it crashes a workload run at a sweep
+// of points and checks the one durable image the deterministic flush-on-
+// fail leaves at each, i.e. ModelCheck bounded to MaxImages 1. Each point
+// checks at most one image, so TotalViolating counts the inconsistent
+// points and FirstWitness holds the first one's cycle and error.
+func CrashCampaign(workloadName string, s Scheme, o Options, points int, first, step engine.Cycle) (MCReport, error) {
+	return ModelCheck(workloadName, s, o, points, first, step, MCBounds{MaxImages: 1})
+}
+
 // ParseWitness decodes a witness produced by bbbmc -witness-out.
 func ParseWitness(data []byte) (*MCWitness, error) { return crashmc.ParseWitness(data) }
 
@@ -372,11 +362,15 @@ func ReplayWitness(w *MCWitness) (crashmc.ReplayOutcome, error) { return crashmc
 // SchemeTraits returns the Table I qualitative row for a scheme.
 func SchemeTraits(s Scheme) persistency.Traits { return persistency.TraitsOf(s) }
 
-// GuaranteesConsistency reports whether a scheme promises crash-consistent
-// recovery for the given program variant (see recovery.GuaranteesConsistency):
-// inconsistency under a guaranteeing combination is a simulator bug.
+// GuaranteesConsistency reports whether a scheme promises a consistent
+// durable image for the given program variant: the battery-complete
+// schemes (eADR, BBB, BBBProc, NVCache: the store buffer already sits
+// inside the persistence domain) need no barriers at all, while PMEM and
+// BEP only guarantee recovery when the program's barriers are present.
+// An inconsistent campaign under a guaranteeing combination is a
+// simulator bug, not an expected Figure 2 outcome.
 func GuaranteesConsistency(s Scheme, barriers bool) bool {
-	return recovery.GuaranteesConsistency(s, barriers)
+	return persistency.TraitsOf(s).BatteryBackedSB || barriers
 }
 
 // Version identifies the reproduction, not the paper.

@@ -1,7 +1,9 @@
 // Command bbbcrash runs crash-injection campaigns, mechanizing the paper's
 // programmability argument (§II-A, Figures 2 and 3): it crashes a workload
 // at a sweep of cycles, performs the scheme's flush-on-fail, and runs the
-// workload's recovery checker against the durable NVMM image.
+// workload's recovery checker against the durable NVMM image. Each
+// campaign is the crash-image model checker bounded to that one image
+// (bbb.CrashCampaign); bbbmc explores every reachable image.
 //
 // Inconsistency is only acceptable where the scheme never promised
 // recovery (PMEM or BEP with the barriers omitted — the Figure 2 bug).
@@ -118,20 +120,25 @@ func main() {
 				log.Fatal(err)
 			}
 			campaigns++
-			broken := rep.Inconsistent > 0 && bbb.GuaranteesConsistency(c.scheme, !c.noBarriers)
+			first := rep.FirstWitness()
+			broken := rep.TotalViolating > 0 && bbb.GuaranteesConsistency(c.scheme, !c.noBarriers)
 			if broken {
 				unexpected++
 			}
 			if !*quiet {
-				fmt.Println(rep.String())
-				if o2, failed := rep.FirstFailure(); failed {
-					fmt.Printf("    first failure @%d: %v\n", o2.CrashCycle, o2.Err)
+				mode := "with barriers"
+				if c.noBarriers {
+					mode = "NO barriers"
+				}
+				fmt.Printf("%-10s %-9s %-13s crash points: %3d  inconsistent: %3d  max drained lines: %d\n",
+					w, c.scheme, mode, len(rep.Points), rep.TotalViolating, rep.DrainedLinesMax)
+				if first != nil {
+					fmt.Printf("    first failure @%d: %s\n", first.CrashCycle, first.Err)
 				}
 			}
 			if broken {
-				o2, _ := rep.FirstFailure()
-				fmt.Printf("FAIL: %s/%s guarantees consistency but %d crash point(s) were inconsistent (first @%d: %v)\n",
-					w, c.scheme, rep.Inconsistent, o2.CrashCycle, o2.Err)
+				fmt.Printf("FAIL: %s/%s guarantees consistency but %d crash point(s) were inconsistent (first @%d: %s)\n",
+					w, c.scheme, rep.TotalViolating, first.CrashCycle, first.Err)
 			}
 		}
 		if !*quiet {

@@ -117,7 +117,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(w, "| %s | %v | %d | %d |\n",
-			bbb.SchemeTraits(c.s).Name, c.barriers, len(rep.Outcomes), rep.Inconsistent)
+			bbb.SchemeTraits(c.s).Name, c.barriers, len(rep.Points), rep.TotalViolating)
 	}
 
 	fmt.Fprintf(w, "\n_Generated in %s._\n", time.Since(started).Round(time.Second))

@@ -50,10 +50,9 @@ func main() {
 			log.Fatal(err)
 		}
 		verdict := "recovered at every crash point"
-		if rep.Inconsistent > 0 {
-			f, _ := rep.FirstFailure()
-			verdict = fmt.Sprintf("UNRECOVERABLE at %d/%d crash points (first: %v)",
-				rep.Inconsistent, points, f.Err)
+		if f := rep.FirstWitness(); f != nil {
+			verdict = fmt.Sprintf("UNRECOVERABLE at %d/%d crash points (first: %s)",
+				rep.TotalViolating, points, f.Err)
 		}
 		fmt.Printf("%-32s %s\n", r.label, verdict)
 	}

@@ -28,6 +28,8 @@ type Bounds struct {
 	// The cap also bounds generation: no group builds more than MaxImages
 	// candidate sets, so enumeration time and memory stay proportional to
 	// the cap however large MaxFlips or the pending set grow. Default 4096.
+	// MaxImages 1 checks only the deterministic flush-on-fail image
+	// (Enumeration.Images[0]): crash injection.
 	MaxImages int
 }
 

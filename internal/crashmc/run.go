@@ -6,13 +6,15 @@ import (
 	"bbb/internal/engine"
 	"bbb/internal/memory"
 	"bbb/internal/persistency"
+	"bbb/internal/sweep"
 	"bbb/internal/system"
 	"bbb/internal/workload"
 )
 
-// Config describes one model-checking campaign: like a crash-injection
-// campaign (internal/recovery), but validating every reachable image at
-// each crash point instead of the single deterministic one.
+// Config describes one model-checking campaign: a sweep of crash points,
+// validating every reachable image at each within Bounds. Bounds.MaxImages
+// of 1 checks only the deterministic flush-on-fail image: that is crash
+// injection (bbb.CrashCampaign).
 type Config struct {
 	Workload workload.Workload
 	Scheme   persistency.Scheme
@@ -101,8 +103,22 @@ func (c Config) Run() Report {
 		Barriers: !c.Params.NoBarriers,
 		Bounds:   b,
 	}
-	rep.Points = workload.SweepCrashPoints(c.Workload, c.Parallel, c.Points, c.FirstCrash, c.Step, func(w workload.Workload, crashAt engine.Cycle) PointResult {
-		return checkPoint(w, c, b, crashAt)
+	// Setup and Programs mutate workload-instance state, so with more than
+	// one worker every point resolves a private instance by name. A
+	// workload outside the registry cannot be re-resolved and forces a
+	// serial sweep over c.Workload itself.
+	workers := c.Parallel
+	if workers > 1 {
+		if _, err := workload.ByName(c.Workload.Name()); err != nil {
+			workers = 1
+		}
+	}
+	rep.Points = sweep.Map(workers, c.Points, func(i int) PointResult {
+		w := c.Workload
+		if workers > 1 {
+			w, _ = workload.ByName(w.Name())
+		}
+		return checkPoint(w, c, b, c.FirstCrash+engine.Cycle(i)*c.Step)
 	})
 	for _, p := range rep.Points {
 		rep.TotalSets += p.Sets

@@ -16,7 +16,7 @@ import (
 // crash-image model checker can cut mid-operation (a half-linked enqueue,
 // a resize migration in flight, a partially built tower) and verify the
 // recovery invariants on every legal surviving image. They register under
-// pds/* so witness replay and the recovery campaigns resolve them by
+// pds/* so witness replay and crash campaigns resolve them by
 // name, but stay out of the Table IV matrices.
 func init() {
 	workload.Register(func() workload.Workload { return &queueWorkload{} })

@@ -5,7 +5,6 @@ import (
 	"bbb/internal/palloc"
 	"bbb/internal/persistency"
 	"bbb/internal/stats"
-	"bbb/internal/sweep"
 	"bbb/internal/system"
 )
 
@@ -59,7 +58,7 @@ func FoldServiceMetrics(w Workload, res *system.Result) {
 // machine, with caches, persist buffers and WPQ still holding their
 // in-flight state. The crash-image model checker captures the pending
 // persistence-domain writes from this state before performing the
-// flush-on-fail itself; plain crash injection calls System.Crash directly.
+// flush-on-fail itself; RunToCrash crashes it at once.
 func BuildToCrash(w Workload, s persistency.Scheme, cfg system.Config, p Params, crashCycle engine.Cycle) (*system.System, bool) {
 	sys, progs := Build(w, s, cfg, p)
 	finished := sys.RunUntil(crashCycle, progs)
@@ -73,28 +72,4 @@ func RunToCrash(w Workload, s persistency.Scheme, cfg system.Config, p Params, c
 	sys, finished := BuildToCrash(w, s, cfg, p, crashCycle)
 	rep := sys.Crash()
 	return sys, rep, finished
-}
-
-// SweepCrashPoints is the crash-point fan-out shared by crash-injection
-// campaigns (internal/recovery) and crash-image model checking
-// (internal/crashmc): it calls point for each crash cycle first + i·step,
-// i < points, over at most parallel workers, and returns the results in
-// index order. Setup and Programs mutate workload-instance state, so with
-// more than one worker every point resolves a private instance of w by
-// name. A workload outside the registry cannot be re-resolved and forces a
-// serial sweep over w itself.
-func SweepCrashPoints[T any](w Workload, parallel, points int, first, step engine.Cycle, point func(w Workload, crashAt engine.Cycle) T) []T {
-	workers := parallel
-	if workers > 1 {
-		if _, err := ByName(w.Name()); err != nil {
-			workers = 1
-		}
-	}
-	return sweep.Map(workers, points, func(i int) T {
-		wi := w
-		if workers > 1 {
-			wi, _ = ByName(w.Name())
-		}
-		return point(wi, first+engine.Cycle(i)*step)
-	})
 }
